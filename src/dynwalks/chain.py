@@ -228,7 +228,12 @@ def conductance(step, pi) -> float:
 
 
 def conductance_sampled(step, pi, samples: int, seed) -> tuple[float, bool]:
-    """Sampled upper estimate of the conductance; second item flags approximation."""
+    """Sampled upper estimate of the conductance.
+
+    Returns ``(estimate, exact)``. The estimate is the minimum over all
+    singletons and ``samples`` random subsets, an upper bound on the true
+    conductance, so ``exact`` is always False.
+    """
     P = _matrix_of(step)
     pi = _pi_array(pi)
     n = P.shape[0]
@@ -237,8 +242,6 @@ def conductance_sampled(step, pi, samples: int, seed) -> tuple[float, bool]:
     best = np.inf
     # all singletons, then random subsets
     for u in range(n):
-        mask = np.zeros(n, bool)
-        mask[u] = True
         q = float(w[(iu == u) | (iv == u)].sum())
         best = min(best, q / min(pi[u], 1.0 - pi[u]))
     for _ in range(samples):

@@ -27,7 +27,6 @@ def _add_common(p):
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int)
-    p.add_argument("--tmax", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--out", help="output file or directory")
 
@@ -56,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     hp = sub.add_parser("hit", help="exact expected hitting time (absorbing propagation)")
     hp.add_argument("--u", type=int, required=True)
     hp.add_argument("--v", type=int, required=True)
+    hp.add_argument("--tmax", type=int)
     _add_common(hp)
 
     c = sub.add_parser("cover", help="Monte Carlo cover time")
@@ -154,7 +154,7 @@ def _cmd_verify(args) -> int:
     cfg = ExperimentConfig(
         suite=INEQUALITY_TO_SUITE[args.inequality],
         seeds=list(range(args.seeds)) if args.seeds else None,
-        trials=args.trials, tmax=args.tmax, eps=args.eps, out=args.out)
+        trials=args.trials, eps=args.eps, out=args.out)
     reports, path, ok = run_suite(cfg)
     digest, _ = summarize([path])
     print(digest)
@@ -211,7 +211,7 @@ def _cmd_suite(args) -> int:
             suite=name,
             sizes=args.sizes if args.sizes else None,
             seeds=list(range(args.seeds)) if args.seeds else None,
-            trials=args.trials, tmax=args.tmax, eps=args.eps, out=args.out)
+            trials=args.trials, eps=args.eps, out=args.out)
         _, path, passed = run_suite(cfg)
         paths.append(path)
         ok = ok and passed

@@ -180,6 +180,21 @@ def test_cli_verify_and_suite(tmp_path):
     assert (out / "eq-interesting.csv").exists()
 
 
+def test_cli_rejects_tmax_where_it_has_no_effect(tmp_path, capsys):
+    for argv in (["suite", "eq-mihai", "--tmax", "1"],
+                 ["verify", "eq-mihai", "--seeds", "1", "--tmax", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--tmax" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    sched = tmp_path / "s.json"
+    assert cli.main(["gen", "complete_then_cycle", "--n", "12", "--out", str(sched)]) == 0
+    assert cli.main(["hit", "--schedule", str(sched), "--u", "0", "--v", "5",
+                     "--tmax", "3"]) == 0
+    assert "T=3 " in capsys.readouterr().out
+
+
 def test_default_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("DYNWALKS_OUTDIR", str(tmp_path / "envout"))
     assert reporting.default_out_dir() == str(tmp_path / "envout")
