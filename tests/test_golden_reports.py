@@ -1,0 +1,94 @@
+"""Golden report digests: any change to a number a suite reports fails here.
+
+Each of the 14 suites runs once at a small config, and the sha256 of its CSV
+body (the report without the ``#`` header lines) is compared with a pinned
+digest. A refactor or speed-up must keep every body byte-identical; a change
+that is meant to move a reported number re-pins the digest in the same change
+and says which rows moved and by how much.
+
+The suites run in one child process with one BLAS thread: with two OpenBLAS
+threads some eigenvalues differ in the last digits (circulant-connectivity at
+its full size, up to 3e-15 relative), so a digest is only reproducible with
+the thread count fixed.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import dynwalks
+
+CONFIGS = {
+    "eq-mihai": {"seeds": [0, 1, 2]},
+    "lemma-imp": {"seeds": [0, 1, 2]},
+    "thm-average": {},
+    "lemma-inftoell2": {"seeds": list(range(20))},
+    "cheeger-ballsize": {"seeds": list(range(20))},
+    "worst-case": {"sizes": [16, 32], "trials": 200},
+    "torus-scaling": {"sizes": [4, 8]},
+    "counterexamples": {},
+    "nomixing": {},
+    "commute-bounds": {"seeds": list(range(10)), "sizes": [3, 4, 5, 6]},
+    "connected-labelling": {},
+    "eq-interesting": {},
+    "circulant-connectivity": {"sizes": [32, 64]},
+    "cover-hit-gap": {"trials": 50},
+}
+
+# computed before the walk-math representations were collapsed
+GOLDEN = {
+    "cheeger-ballsize": "b458249a2295c0d76a3fd993b820b131502eae580a315d738270b6b0bc1e7121",
+    "circulant-connectivity": "ee38d25feaa3c5923d62afde2930797495f30d5a7d59e2d46314e1319c3c5b82",
+    "commute-bounds": "4cf7f0d36dbd8b4a482cd39f1d632d78b1402adcf751f8001d4540e7f65378bc",
+    "connected-labelling": "a948a610ba187b633eb0b72ac04f5cf13739caee9987a148b2f26d0ae1218262",
+    "counterexamples": "0441ca9718fa27ff148b1c0adc0ae92dd9f2c6d01e596c08db5593afff99d295",
+    "cover-hit-gap": "0edba01780742da5c8dca9a7a0e15911b9d715fb1752b58ea38e515357c54e01",
+    "eq-interesting": "5f155972e845dfec4e6da1025fbc29ebcc09c05d641ef8ae4617e83d780302d1",
+    "eq-mihai": "153e4abe65bc01a8082539de7b73f71c3973dde706f88a3b40532f681790f284",
+    "lemma-imp": "d1844f66b1338e0634f1382e6f72dedb4cf79bdcccb26e4d380da4617f70cca4",
+    "lemma-inftoell2": "2c4ec9c8de3dc46b6a59be2d3e1ba30f87de1d9821d7e1865da56e12de9b698d",
+    "nomixing": "f4c71f9e73cf77444b097854b79918c1e02f2b822c28405773ab73bb871ac734",
+    "thm-average": "73f31e041f7a4d4f55c04139ee4eebce4ab0fcb70f0b54c43fb2bdf346f970bb",
+    "torus-scaling": "4c17d82a89f7bd46eede70cd5ad9386fca438a1cf9bbc0244ad8c4a619ab3d86",
+    "worst-case": "529dcd0af628ffb147431f2732cd736913443b81c21da8a39f9c90c726a6f2aa",
+}
+
+_CHILD = """
+import hashlib, json, os, sys
+from dynwalks.reporting import csv_body
+from dynwalks.suites import ExperimentConfig, run_suite
+
+configs, out_dir = json.loads(sys.argv[1]), sys.argv[2]
+digests = {}
+for name, kw in configs.items():
+    _, path, _ = run_suite(ExperimentConfig(suite=name, **kw),
+                           out_path=os.path.join(out_dir, name + ".csv"))
+    digests[name] = hashlib.sha256(csv_body(path)).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dynwalks.__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out_dir = tmp_path_factory.mktemp("golden-reports")
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(CONFIGS), str(out_dir)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_every_suite_is_pinned():
+    from dynwalks.suites import SUITES
+
+    assert set(CONFIGS) == set(GOLDEN) == set(SUITES)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_body_digest(digests, name):
+    assert digests[name] == GOLDEN[name]
