@@ -8,7 +8,6 @@ toolkit the same analysis rests on.
 
 from .graphs import StaticGraph, generate, edge_boundary, ball_size, edge_connectivity
 from .chain import (
-    LazyChainStep,
     StationaryDistribution,
     lazy_matrix,
     degree_stationary,

@@ -21,21 +21,12 @@ _MASK_CHUNK = 1 << 16
 
 
 @dataclass
-class LazyChainStep:
-    """One schedule step: the lazy walk matrix of a static graph."""
-
-    matrix: np.ndarray
-    source_graph: StaticGraph
-    m: int
-
-
-@dataclass
 class StationaryDistribution:
     pi: np.ndarray
     pi_star: float
 
 
-def lazy_matrix(g: StaticGraph) -> LazyChainStep:
+def lazy_matrix(g: StaticGraph) -> np.ndarray:
     """Lazy walk matrix: P(u,u) = 1/2, P(u,v) = 1/(2 d_u) on edges.
 
     Isolated vertices get an identity row (the walk cannot leave them).
@@ -48,7 +39,7 @@ def lazy_matrix(g: StaticGraph) -> LazyChainStep:
         P[g.edges[:, 1], g.edges[:, 0]] = 0.5 / d[g.edges[:, 1]]
     diag = np.where(g.degree > 0, 0.5, 1.0)
     P[np.arange(n), np.arange(n)] = diag
-    return LazyChainStep(matrix=P, source_graph=g, m=g.m)
+    return P
 
 
 def degree_stationary(g: StaticGraph) -> StationaryDistribution:
@@ -56,8 +47,7 @@ def degree_stationary(g: StaticGraph) -> StationaryDistribution:
     if g.m == 0:
         raise GraphError("degree stationary distribution needs at least one edge")
     pi = g.degree / (2.0 * g.m)
-    step = lazy_matrix(g)
-    if detailed_balance_residual(step.matrix, pi) > STRUCTURAL_TOL:
+    if detailed_balance_residual(lazy_matrix(g), pi) > STRUCTURAL_TOL:
         raise GraphError("detailed balance certification failed")
     return StationaryDistribution(pi=pi, pi_star=float(pi[pi > 0].min()))
 
@@ -68,14 +58,7 @@ def _pi_array(pi) -> np.ndarray:
     return np.asarray(pi, dtype=float)
 
 
-def _matrix_of(step) -> np.ndarray:
-    if isinstance(step, LazyChainStep):
-        return step.matrix
-    return np.asarray(step, dtype=float)
-
-
 def detailed_balance_residual(P, pi) -> float:
-    P = _matrix_of(P)
     pi = _pi_array(pi)
     F = pi[:, None] * P
     return float(np.abs(F - F.T).max())
@@ -107,51 +90,44 @@ def likelihood_ratio(p, pi) -> np.ndarray:
     return rho
 
 
-def dirichlet_form(step, f, pi=None) -> float:
-    """E_P(f,f) = (1/2) sum_{u,v} (f(u)-f(v))^2 pi(u) P(u,v).
-
-    For a LazyChainStep, pi defaults to the degree-stationary distribution of
-    its source graph.
-    """
-    P = _matrix_of(step)
-    if pi is None:
-        if not isinstance(step, LazyChainStep):
-            raise GraphError("pi is required when passing a raw matrix")
-        pi = degree_stationary(step.source_graph).pi
+def dirichlet_form(P, f, pi) -> float:
+    """E_P(f,f) = (1/2) sum_{u,v} (f(u)-f(v))^2 pi(u) P(u,v) for a dense matrix P."""
     pi = _pi_array(pi)
     f = np.asarray(f, float)
     diff = f[:, None] - f[None, :]
     return float(0.5 * np.sum(diff * diff * (pi[:, None] * P)))
 
 
-def dirichlet_form_edges(g: StaticGraph, f) -> float:
-    """Lazy-graph specialization: (1/4m) sum over edges of (f(u)-f(v))^2."""
+def dirichlet_form_edges(g: StaticGraph, f, pi=None) -> float:
+    """E_P(f,f) for the lazy step P of g, summed over the edges of g.
+
+    Uses the per-edge flow pi(u) P(u,v) = pi(u)/(2 d_u), valid for any pi
+    satisfying detailed balance with the step (flows are symmetric); pi
+    defaults to the degree-stationary distribution of g.
+    """
     if g.m == 0:
         return 0.0
+    pi = degree_stationary(g).pi if pi is None else _pi_array(pi)
     f = np.asarray(f, float)
-    diff = f[g.edges[:, 0]] - f[g.edges[:, 1]]
-    return float(np.sum(diff * diff) / (4.0 * g.m))
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    w = pi[u] * 0.5 / g.degree[u]
+    diff = f[u] - f[v]
+    return float(np.sum(w * diff * diff))
 
 
-def spectral_gap(step, pi) -> float:
+def spectral_gap(P, pi) -> float:
     """1 minus the second-largest eigenvalue of the pi-symmetrized matrix."""
-    P = _matrix_of(step)
     pi = _pi_array(pi)
     if P.shape[0] < 2:
         raise GraphError("spectral gap needs at least two states")
     scale = max(float(np.abs(P).max()), 1.0)
     if detailed_balance_residual(P, pi) > 1e-10 * scale:
         raise GraphError("matrix is not reversible with respect to pi")
-    root = np.sqrt(pi)
-    S = (root[:, None] / root[None, :]) * P
-    S = 0.5 * (S + S.T)
-    w = np.linalg.eigvalsh(S)
-    return float(1.0 - w[-2])
+    return float(1.0 - chain_eigenvalues(P, pi)[-2])
 
 
-def chain_eigenvalues(step, pi) -> np.ndarray:
+def chain_eigenvalues(P, pi) -> np.ndarray:
     """All eigenvalues of the reversible chain, ascending."""
-    P = _matrix_of(step)
     pi = _pi_array(pi)
     root = np.sqrt(pi)
     S = (root[:, None] / root[None, :]) * P
@@ -159,41 +135,27 @@ def chain_eigenvalues(step, pi) -> np.ndarray:
     return np.linalg.eigvalsh(S)
 
 
-def second_eigenvector(step, pi) -> np.ndarray:
-    """Right eigenvector of P for the second-largest eigenvalue."""
-    P = _matrix_of(step)
-    pi = _pi_array(pi)
-    root = np.sqrt(pi)
-    S = (root[:, None] / root[None, :]) * P
-    S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
-    return V[:, -2] / root
-
-
 def probability_flow(P, pi, a_mask: np.ndarray, b_mask: np.ndarray) -> float:
     """Q(A,B) = sum_{u in A, v in B} pi(u) P(u,v)."""
-    P = _matrix_of(P)
     pi = _pi_array(pi)
     sub = P[np.ix_(a_mask, b_mask)]
     return float(np.sum(pi[a_mask][:, None] * sub))
 
 
-def conductance_set(step, pi, members) -> float:
+def conductance_set(P, pi, members) -> float:
     """Phi_P(A) = Q(A, A^c) / min(pi(A), pi(A^c)) for a nonempty proper subset."""
-    P = _matrix_of(step)
     pi = _pi_array(pi)
     mask = _member_mask(P.shape[0], members)
     k = int(mask.sum())
     if k == 0 or k == P.shape[0]:
         raise GraphError("conductance needs a nonempty proper subset")
-    q = float(np.sum(pi[mask, None] * P[mask][:, ~mask]))
+    q = probability_flow(P, pi, mask, ~mask)
     bottom = min(float(pi[mask].sum()), float(pi[~mask].sum()))
     return q / bottom
 
 
 def _crossing_pairs(P, pi):
     """Unordered pairs with positive flow and their symmetric weights pi(u)P(u,v)."""
-    P = _matrix_of(P)
     pi = _pi_array(pi)
     F = pi[:, None] * P
     iu, iv = np.nonzero(np.triu(F + F.T, k=1) > 0)
@@ -201,12 +163,11 @@ def _crossing_pairs(P, pi):
     return iu, iv, w
 
 
-def conductance(step, pi) -> float:
+def conductance(P, pi) -> float:
     """Exact conductance: exhaustive minimum over all nonempty proper subsets.
 
     Limited to n <= 20 states; use conductance_sampled beyond that.
     """
-    P = _matrix_of(step)
     pi = _pi_array(pi)
     n = P.shape[0]
     if n > EXACT_CONDUCTANCE_LIMIT:
@@ -227,14 +188,13 @@ def conductance(step, pi) -> float:
     return best
 
 
-def conductance_sampled(step, pi, samples: int, seed) -> tuple[float, bool]:
+def conductance_sampled(P, pi, samples: int, seed) -> tuple[float, bool]:
     """Sampled upper estimate of the conductance.
 
     Returns ``(estimate, exact)``. The estimate is the minimum over all
     singletons and ``samples`` random subsets, an upper bound on the true
     conductance, so ``exact`` is always False.
     """
-    P = _matrix_of(step)
     pi = _pi_array(pi)
     n = P.shape[0]
     rng = np.random.default_rng(seed)
@@ -266,11 +226,6 @@ def conductance_profile(g: StaticGraph, k: int) -> float:
     if not 1 <= k <= n // 2:
         raise GraphError("profile index must satisfy 1 <= k <= n/2")
     return float(cut_profile(g)[k] / (d * k))
-
-
-def write_matrix_csv(matrix, path) -> None:
-    """Debug export of a dense matrix (one row per line, full precision)."""
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17g")
 
 
 def cut_profile(g: StaticGraph) -> np.ndarray:

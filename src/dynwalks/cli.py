@@ -19,16 +19,7 @@ from .reporting import (
     summarize,
     write_report_csv,
 )
-from .suites import INEQUALITY_TO_SUITE, SUITES, ExperimentConfig, run_suite
-
-
-def _add_common(p):
-    p.add_argument("--schedule", help="schedule JSON file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--out", help="output file or directory")
+from .suites import INEQUALITY_TO_SUITE, SUITES, SUITES_READING, ExperimentConfig, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,43 +36,56 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dim", type=int, help="torus dimension")
     g.add_argument("--side", type=int, help="torus side")
     g.add_argument("--rho", type=int, help="circulant connectivity parameter")
-    _add_common(g)
+    g.add_argument("--n", type=int)
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--out", help="output schedule file")
 
     m = sub.add_parser("mix", help="exact l2 mixing time of a schedule")
+    m.add_argument("--schedule", help="schedule JSON file")
     m.add_argument("--threshold", type=float, default=1.0 / 3.0)
     m.add_argument("--horizon", type=int)
-    _add_common(m)
+    m.add_argument("--out", help="output report file")
 
     hp = sub.add_parser("hit", help="exact expected hitting time (absorbing propagation)")
+    hp.add_argument("--schedule", help="schedule JSON file")
     hp.add_argument("--u", type=int, required=True)
     hp.add_argument("--v", type=int, required=True)
     hp.add_argument("--tmax", type=int)
-    _add_common(hp)
+    hp.add_argument("--eps", type=float)
+    hp.add_argument("--out", help="output report file")
 
     c = sub.add_parser("cover", help="Monte Carlo cover time")
+    c.add_argument("--schedule", help="schedule JSON file")
     c.add_argument("--start", type=int, default=0)
     c.add_argument("--horizon", type=int, default=1_000_000)
-    _add_common(c)
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--trials", type=int)
 
     v = sub.add_parser("verify", help="verify one named inequality")
     v.add_argument("inequality", choices=sorted(INEQUALITY_TO_SUITE))
     v.add_argument("--seeds", type=int, help="number of seeded instances (scales the run down)")
-    _add_common(v)
+    v.add_argument("--out", help="output directory")
 
     cm = sub.add_parser("commute", help="commute-time bounds table for a static graph")
     cm.add_argument("--graph", help="graph text file ('n m' then edge lines)")
     cm.add_argument("--family", default="gnp_connected")
+    cm.add_argument("--n", type=int)
     cm.add_argument("--p", type=float, default=0.5)
     cm.add_argument("--rho", type=int)
+    cm.add_argument("--seed", type=int, default=0)
     cm.add_argument("--s", type=int)
     cm.add_argument("--t", type=int)
-    _add_common(cm)
+    cm.add_argument("--out", help="output report file")
 
     st = sub.add_parser("suite", help="run a named verification suite (or 'all')")
     st.add_argument("name", choices=sorted(SUITES) + ["all"])
     st.add_argument("--sizes", type=int, nargs="*")
     st.add_argument("--seeds", type=int, help="number of seeded instances")
-    _add_common(st)
+    st.add_argument("--trials", type=int,
+                    help=f"Monte Carlo trials ({', '.join(SUITES_READING['trials'])})")
+    st.add_argument("--eps", type=float,
+                    help=f"hitting tolerance ({', '.join(SUITES_READING['eps'])})")
+    st.add_argument("--out", help="output directory")
     return ap
 
 
@@ -154,7 +158,7 @@ def _cmd_verify(args) -> int:
     cfg = ExperimentConfig(
         suite=INEQUALITY_TO_SUITE[args.inequality],
         seeds=list(range(args.seeds)) if args.seeds else None,
-        trials=args.trials, eps=args.eps, out=args.out)
+        out=args.out)
     reports, path, ok = run_suite(cfg)
     digest, _ = summarize([path])
     print(digest)
@@ -221,7 +225,12 @@ def _cmd_suite(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "suite":
+        for flag, readers in SUITES_READING.items():
+            if getattr(args, flag) is not None and args.name not in readers:
+                ap.error(f"suite {args.name}: --{flag} is read only by {', '.join(readers)}")
     handlers = {
         "gen": _cmd_gen, "mix": _cmd_mix, "hit": _cmd_hit, "cover": _cmd_cover,
         "verify": _cmd_verify, "commute": _cmd_commute, "suite": _cmd_suite,

@@ -19,6 +19,8 @@ from .graphs import StaticGraph, bfs_distances, edge_connectivity, is_connected
 VOLTAGE_RESIDUAL_TOL = 1e-9
 
 
+# Each public function checks connectivity once; the private helpers they
+# compose (_hitting_times_to, _solve_voltage) assume it has been checked.
 def _require_connected(g: StaticGraph):
     if not is_connected(g):
         raise GraphError("operation requires a connected graph")
@@ -27,7 +29,11 @@ def _require_connected(g: StaticGraph):
 def hitting_times_to(g: StaticGraph, target: int) -> np.ndarray:
     """Expected lazy-walk times to reach ``target`` from every vertex (linear solve)."""
     _require_connected(g)
-    P = chain.lazy_matrix(g).matrix
+    return _hitting_times_to(g, target)
+
+
+def _hitting_times_to(g: StaticGraph, target: int) -> np.ndarray:
+    P = chain.lazy_matrix(g)
     n = g.n
     A = np.eye(n) - P
     A[target, :] = 0.0
@@ -41,13 +47,14 @@ def exact_commute(g: StaticGraph, s: int, t: int) -> float:
     """C_st = tau_{s,t} + tau_{t,s}; returns 0.0 for s == t by convention."""
     if s == t:
         return 0.0
-    return float(hitting_times_to(g, t)[s] + hitting_times_to(g, s)[t])
+    _require_connected(g)
+    return float(_hitting_times_to(g, t)[s] + _hitting_times_to(g, s)[t])
 
 
 def commute_matrix(g: StaticGraph) -> np.ndarray:
     """All pairwise commute times via n absorbing solves."""
     _require_connected(g)
-    H = np.column_stack([hitting_times_to(g, v) for v in range(g.n)])
+    H = np.column_stack([_hitting_times_to(g, v) for v in range(g.n)])
     return H + H.T
 
 
@@ -66,9 +73,13 @@ def solve_voltage(g: StaticGraph, s: int, t: int) -> VoltageFunction:
     """The harmonic maximiser of the variational commute-time characterisation:
     g(s) = 0, g(t) = 1, harmonic elsewhere, with 1/E_P(g,g) = C_st."""
     _require_connected(g)
+    return _solve_voltage(g, s, t)
+
+
+def _solve_voltage(g: StaticGraph, s: int, t: int) -> VoltageFunction:
     if s == t:
         raise GraphError("voltage needs distinct endpoints")
-    P = chain.lazy_matrix(g).matrix
+    P = chain.lazy_matrix(g)
     n = g.n
     interior = np.array([v for v in range(n) if v not in (s, t)], dtype=np.int64)
     vals = np.zeros(n)
@@ -131,7 +142,7 @@ class CutSumBounds:
 def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[Labelling, CutSumBounds]:
     """Voltage-ordered prefix-cut upper bounds on the lazy commute time."""
     _require_connected(g)
-    volt = solve_voltage(g, s, t)
+    volt = _solve_voltage(g, s, t)
     lab = voltage_labelling(g, volt)
     inv = 1.0 / lab.prefix_boundaries
     flow = float(np.sum(1.0 / lab.prefix_flows))
@@ -290,7 +301,7 @@ def eigen_sum(g: StaticGraph) -> float:
     """sum_{k>=2} 1/(1 - lambda_k) over the lazy chain's eigenvalues."""
     _require_connected(g)
     pi = chain.degree_stationary(g).pi
-    w = chain.chain_eigenvalues(chain.lazy_matrix(g).matrix, pi)
+    w = chain.chain_eigenvalues(chain.lazy_matrix(g), pi)
     return float(np.sum(1.0 / (1.0 - w[:-1])))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .errors import CapabilityError, GenerationError, GraphError
+from .errors import GenerationError, GraphError
 
 DEFAULT_EXPANDER_GAP = 0.05
 # Alon-Boppana caps the lazy gap of 3-regular graphs at (1 - 2*sqrt(2)/3)/2
@@ -176,20 +176,6 @@ def edge_connectivity(g: StaticGraph) -> int:
             best = int(flow)
             if best == 1:
                 break
-    return best
-
-
-def min_cut_brute_force(g: StaticGraph) -> int:
-    """Independent oracle for edge_connectivity: enumerate all proper subsets."""
-    if g.n > 16:
-        raise CapabilityError("brute-force min cut limited to n <= 16")
-    if not is_connected(g):
-        return 0
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    best = g.m
-    for mask in range(1, 1 << (g.n - 1)):  # vertex n-1 stays outside
-        inside = (mask >> u) & 1 != (mask >> v) & 1
-        best = min(best, int(inside.sum()))
     return best
 
 
@@ -361,14 +347,11 @@ def _entropy_of(seed) -> int:
 
 def _lazy_gap_regular(g: StaticGraph) -> float:
     # uniform pi makes the lazy matrix symmetric; large n uses sparse Lanczos
-    d = g.degree.astype(float)
     if g.n <= 400:
-        P = np.zeros((g.n, g.n))
-        P[g.edges[:, 0], g.edges[:, 1]] = 0.5 / d[g.edges[:, 0]]
-        P[g.edges[:, 1], g.edges[:, 0]] = 0.5 / d[g.edges[:, 1]]
-        np.fill_diagonal(P, 0.5)
-        w = np.linalg.eigvalsh(P)
-        return float(1.0 - w[-2])
+        from . import chain  # deferred: chain imports this module
+
+        return chain.spectral_gap(chain.lazy_matrix(g), np.full(g.n, 1.0 / g.n))
+    d = g.degree.astype(float)
     from scipy.sparse import coo_matrix
     from scipy.sparse.linalg import eigsh
 

@@ -120,7 +120,7 @@ class GraphSchedule:
         if got is not None:
             self._matrices.move_to_end(key)
             return got
-        P = chain.lazy_matrix(self.step(t)).matrix
+        P = chain.lazy_matrix(self.step(t))
         self._matrices[key] = P
         cap = 128 if self.n <= 256 else 4
         if len(self._matrices) > cap:

@@ -216,7 +216,7 @@ def _ballsize_worst(g: graphs.StaticGraph) -> float:
 
 def _cheeger_rows(name, g, seed=None) -> list[BoundReport]:
     pi = chain.degree_stationary(g).pi
-    P = chain.lazy_matrix(g).matrix
+    P = chain.lazy_matrix(g)
     lam = chain.spectral_gap(P, pi)
     phi = chain.conductance(P, pi)
     return [
@@ -361,12 +361,7 @@ def suite_counterexamples(cfg: ExperimentConfig) -> list[BoundReport]:
 
     # probability ceiling for u in V_1, v in V_k over one period
     u, v = 0, 4 * (k - 1)
-    p = np.zeros(n)
-    p[u] = 1.0
-    probs = [p[v]]
-    for t in range(1, 3 * n + 1):
-        p = p @ s.step_matrix(t)
-        probs.append(float(p[v]))
+    probs = [float(p[v]) for p in walks.evolve_trace(s, u, 3 * n)]
     ceiling = 2.0 ** (-(k + 2))
     out.append(BoundReport(
         suite="counterexamples", inequality_id="nohitting-ceiling-min",
@@ -660,6 +655,12 @@ INEQUALITY_TO_SUITE = {
     "ballsize": "cheeger-ballsize",
     "cutsum-sandwich": "commute-bounds",
     "eq-interesting": "eq-interesting",
+}
+
+# the suites whose results cfg.eps and cfg.trials change; the others ignore them
+SUITES_READING = {
+    "eps": ("worst-case", "torus-scaling", "counterexamples"),
+    "trials": ("worst-case", "cover-hit-gap"),
 }
 
 

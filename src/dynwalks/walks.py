@@ -69,24 +69,27 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _propagate(s: GraphSchedule, p: np.ndarray, steps) -> np.ndarray:
+    """Row distribution p after the steps t of ``steps``, applied in order."""
+    for t in steps:
+        p = _clamp(p @ s.step_matrix(t))
+    return p
+
+
 def evolve(s: GraphSchedule, p0, t: int, pi=None) -> DistributionState:
     """Exact distribution after t steps; exposes rho against pi when given."""
     if t < 0:
         raise GraphError("t must be >= 0")
-    p = _point_or_dist(s.n, p0)
-    for step in range(1, t + 1):
-        p = _clamp(p @ s.step_matrix(step))
+    p = _propagate(s, _point_or_dist(s.n, p0), range(1, t + 1))
     rho = None if pi is None else chain.likelihood_ratio(p, chain._pi_array(pi))
     return DistributionState(p=p, t=t, rho=rho)
 
 
 def evolve_trace(s: GraphSchedule, p0, steps: int) -> list[np.ndarray]:
     """All intermediate distributions p^(0) .. p^(steps)."""
-    p = _point_or_dist(s.n, p0)
-    out = [p.copy()]
-    for step in range(1, steps + 1):
-        p = _clamp(p @ s.step_matrix(step))
-        out.append(p.copy())
+    out = [_point_or_dist(s.n, p0)]
+    for t in range(1, steps + 1):
+        out.append(_propagate(s, out[-1], (t,)))
     return out
 
 
@@ -113,23 +116,6 @@ def measure_mixing(s: GraphSchedule, pi, threshold: float = 1.0 / 3.0,
     raise TruncationError(
         f"mixing not reached by t={horizon}; worst squared norm {worst:.3e}",
         t=horizon, value=worst)
-
-
-def mixing_time_definition_scan(s: GraphSchedule, pi, threshold: float = 1.0 / 3.0,
-                                horizon: int = 10_000) -> int:
-    """Independent definition-level oracle: per-start propagation, no shared product."""
-    pi = chain._pi_array(pi)
-    for t in range(1, horizon + 1):
-        ok = True
-        for u in range(s.n):
-            p = evolve(s, u, t).p
-            rho = p / pi
-            if chain.variance_pi(rho, pi) > threshold * threshold:
-                ok = False
-                break
-        if ok:
-            return t
-    raise TruncationError("definition scan exhausted", t=horizon, value=np.nan)
 
 
 def _target_mask(n: int, target) -> np.ndarray:
@@ -265,22 +251,6 @@ def monte_carlo(s: GraphSchedule, start: int, seed: int, trials: int, stop,
 # inequality verifiers
 # ---------------------------------------------------------------------------
 
-def dirichlet_form_step(g, f, pi) -> float:
-    """E_P(f,f) for the lazy step of g under pi, summed over edges.
-
-    Uses the per-edge flow pi(u) P(u,v) = pi(u)/(2 d_u), valid for any pi
-    satisfying detailed balance with the step (flows are symmetric).
-    """
-    if g.m == 0:
-        return 0.0
-    pi = chain._pi_array(pi)
-    f = np.asarray(f, float)
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    w = pi[u] * 0.5 / g.degree[u]
-    diff = f[u] - f[v]
-    return float(np.sum(w * diff * diff))
-
-
 @dataclass
 class DecayCheck:
     t: int
@@ -300,7 +270,7 @@ def variance_decay_checks(s: GraphSchedule, p0, steps: int, pi,
     var_prev = chain.variance_pi(trace[0] / pi, pi)
     for t in range(steps):
         rho = trace[t] / pi
-        e = dirichlet_form_step(s.step(t + 1), rho, pi)
+        e = chain.dirichlet_form_edges(s.step(t + 1), rho, pi)
         var_next = chain.variance_pi(trace[t + 1] / pi, pi)
         margin = (var_prev - var_next) - e
         out.append(DecayCheck(t=t, var_before=var_prev, var_after=var_next,
@@ -423,18 +393,13 @@ def verify_midpoint_bound(s: GraphSchedule, u: int, v: int, t1: int, t2: int, pi
     e_v = np.zeros(n)
     e_v[v] = 1.0
 
-    p = e_v.copy()
-    for t in range(t1 + 1, t2 + 1):
-        p = p @ s.step_matrix(t)
+    p = _propagate(s, e_v, range(t1 + 1, t2 + 1))
     lhs = abs(p[u] / pi[u] - 1.0)
 
     mid = (t1 + t2) // 2
 
     def _variance_after(p_start, ts):
-        q = p_start.copy()
-        for t in ts:
-            q = q @ s.step_matrix(t)
-        return chain.variance_pi(q / pi, pi)
+        return chain.variance_pi(_propagate(s, p_start, ts) / pi, pi)
 
     term_v = _variance_after(e_v, range(t1 + 1, mid + 1))
     term_u = _variance_after(e_u, range(t2, mid, -1))

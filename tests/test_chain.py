@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynwalks import chain, graphs
 from dynwalks.errors import CapabilityError, GraphError
 
 
 def test_lazy_matrix_k2():
-    step = chain.lazy_matrix(graphs.complete_graph(2))
-    assert np.allclose(step.matrix, [[0.5, 0.5], [0.5, 0.5]])
+    P = chain.lazy_matrix(graphs.complete_graph(2))
+    assert np.allclose(P, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_lazy_matrix_star():
     # center 0 with 3 leaves
     g = graphs.StaticGraph(4, [(0, 1), (0, 2), (0, 3)])
-    P = chain.lazy_matrix(g).matrix
+    P = chain.lazy_matrix(g)
     assert P[0, 1] == pytest.approx(1 / 6)
     assert P[1, 0] == pytest.approx(1 / 2)
     assert P[1, 1] == 0.5
@@ -21,7 +23,7 @@ def test_lazy_matrix_star():
 
 def test_lazy_matrix_isolated_vertex_row_is_identity():
     g = graphs.StaticGraph(3, [(0, 1)])
-    P = chain.lazy_matrix(g).matrix
+    P = chain.lazy_matrix(g)
     assert P[2, 2] == 1.0 and P[2, 0] == 0.0 and P[2, 1] == 0.0
 
 
@@ -29,7 +31,7 @@ def test_lazy_matrix_structure_random():
     rng = np.random.default_rng(0)
     for _ in range(15):
         g = graphs.gnp_connected_graph(int(rng.integers(3, 20)), 0.4, rng)
-        P = chain.lazy_matrix(g).matrix
+        P = chain.lazy_matrix(g)
         assert np.all(np.diag(P) >= 0.5)
         assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
         for u, v in g.edges:
@@ -49,7 +51,7 @@ def test_degree_stationary_examples():
 def test_degree_stationary_barbell_fixed_point():
     g = graphs.barbell_graph(9)
     dist = chain.degree_stationary(g)
-    P = chain.lazy_matrix(g).matrix
+    P = chain.lazy_matrix(g)
     assert np.allclose(dist.pi, g.degree / (2 * g.m))
     assert np.abs(dist.pi @ P - dist.pi).max() < 1e-12
 
@@ -79,18 +81,29 @@ def test_variance_two_formula_equivalence():
         assert chain.variance_pi(rho, pi) == pytest.approx(direct, abs=1e-12)
 
 
-def test_dirichlet_form_examples_and_equivalence():
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 24), st.integers(0, 2**32 - 1), st.booleans())
+def test_dirichlet_form_examples_and_equivalence(n, seed, regular):
     k2 = graphs.complete_graph(2)
     assert chain.dirichlet_form_edges(k2, [0.0, 2.0]) == pytest.approx(1.0)
-    assert chain.dirichlet_form(chain.lazy_matrix(k2), [1.0, 1.0]) == 0.0
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        g = graphs.gnp_connected_graph(int(rng.integers(3, 14)), 0.5, rng)
-        pi = chain.degree_stationary(g).pi
-        f = rng.normal(size=g.n)
-        dense = chain.dirichlet_form(chain.lazy_matrix(g), f, pi)
-        edges = chain.dirichlet_form_edges(g, f)
-        assert dense == pytest.approx(edges, abs=1e-12)
+    assert chain.dirichlet_form(chain.lazy_matrix(k2), [1.0, 1.0], [0.5, 0.5]) == 0.0
+    # the edge form against the dense one: the degree pi on any graph, and the
+    # uniform pi on a regular graph, the pi a schedule of regular steps declares
+    rng = np.random.default_rng(seed)
+    if regular:
+        d = int(rng.integers(2, min(n - 1, 4) + 1))
+        g = graphs.random_regular_graph(n, d - (n * d) % 2, rng)
+        pis = [chain.degree_stationary(g).pi, np.full(n, 1.0 / n)]
+    else:
+        g = graphs.gnp_connected_graph(n, 0.5, rng)
+        pis = [chain.degree_stationary(g).pi]
+    f = rng.normal(size=n)
+    P = chain.lazy_matrix(g)
+    for pi in pis:
+        dense = chain.dirichlet_form(P, f, pi)
+        assert chain.dirichlet_form_edges(g, f, pi) == pytest.approx(dense, rel=1e-12)
+    assert chain.dirichlet_form_edges(g, f) == pytest.approx(
+        chain.dirichlet_form(P, f, pis[0]), rel=1e-12)
 
 
 def test_self_adjointness():
@@ -98,7 +111,7 @@ def test_self_adjointness():
     for _ in range(20):
         g = graphs.gnp_connected_graph(int(rng.integers(3, 12)), 0.5, rng)
         pi = chain.degree_stationary(g).pi
-        P = chain.lazy_matrix(g).matrix
+        P = chain.lazy_matrix(g)
         f, h = rng.normal(size=g.n), rng.normal(size=g.n)
         lhs = chain.inner_product_pi(P @ f, h, pi)
         rhs = chain.inner_product_pi(f, P @ h, pi)
@@ -107,20 +120,20 @@ def test_self_adjointness():
 
 def test_spectral_gap_known_values():
     k2 = graphs.complete_graph(2)
-    assert chain.spectral_gap(chain.lazy_matrix(k2).matrix, [0.5, 0.5]) == pytest.approx(1.0)
+    assert chain.spectral_gap(chain.lazy_matrix(k2), [0.5, 0.5]) == pytest.approx(1.0)
     # lazy cycle: gap = (1 - cos(2 pi / n)) / 2, circulant eigenvalue oracle
     for n in (5, 8, 12):
         g = graphs.cycle_graph(n)
         pi = chain.degree_stationary(g).pi
-        gap = chain.spectral_gap(chain.lazy_matrix(g).matrix, pi)
+        gap = chain.spectral_gap(chain.lazy_matrix(g), pi)
         assert gap == pytest.approx((1 - np.cos(2 * np.pi / n)) / 2, abs=1e-12)
-    assert chain.spectral_gap(chain.lazy_matrix(graphs.cycle_graph(8)).matrix,
+    assert chain.spectral_gap(chain.lazy_matrix(graphs.cycle_graph(8)),
                               np.full(8, 1 / 8)) == pytest.approx(0.14644660940672627)
 
 
 def test_spectral_gap_disconnected_is_zero():
     g = graphs.StaticGraph(4, [(0, 1), (2, 3)])
-    gap = chain.spectral_gap(chain.lazy_matrix(g).matrix, np.full(4, 0.25))
+    gap = chain.spectral_gap(chain.lazy_matrix(g), np.full(4, 0.25))
     assert abs(gap) < 1e-12
 
 
@@ -133,7 +146,7 @@ def test_spectral_gap_rejects_non_reversible():
 def test_spectral_gap_variational_characterization():
     g = graphs.gnp_connected_graph(10, 0.5, 7)
     pi = chain.degree_stationary(g).pi
-    P = chain.lazy_matrix(g).matrix
+    P = chain.lazy_matrix(g)
     lam = chain.spectral_gap(P, pi)
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -143,7 +156,10 @@ def test_spectral_gap_variational_characterization():
             continue
         ratio = chain.dirichlet_form(P, f, pi) / var
         assert ratio >= lam - 1e-9
-    f2 = chain.second_eigenvector(P, pi)
+    # the second eigenvector of P, from the pi-symmetrized matrix
+    root = np.sqrt(pi)
+    _, V = np.linalg.eigh((root[:, None] / root[None, :]) * P)
+    f2 = V[:, -2] / root
     ratio2 = chain.dirichlet_form(P, f2, pi) / chain.variance_pi(f2, pi)
     assert ratio2 == pytest.approx(lam, abs=1e-9)
 
@@ -152,7 +168,7 @@ def test_conductance_set_examples():
     # single vertex of a d-regular lazy chain: exactly half its mass flows out
     g = graphs.cycle_graph(8)
     pi = chain.degree_stationary(g).pi
-    P = chain.lazy_matrix(g).matrix
+    P = chain.lazy_matrix(g)
     # Q({0}) = 2 edges / 4m = 1/16, min-side mass pi(0) = 1/8 -> 1/2
     assert chain.conductance_set(P, pi, [0]) == pytest.approx(0.5)
     # contiguous half-arc: two crossing edges
@@ -164,7 +180,7 @@ def test_conductance_set_examples():
 def test_probability_flow_symmetry_and_edge_value():
     g = graphs.gnp_connected_graph(7, 0.5, 4)
     pi = chain.degree_stationary(g).pi
-    P = chain.lazy_matrix(g).matrix
+    P = chain.lazy_matrix(g)
     a = np.zeros(7, bool)
     a[[0, 2, 5]] = True
     # reversibility makes flow symmetric; each crossing edge carries 1/(4m)
@@ -181,7 +197,7 @@ def test_conductance_exhaustive_matches_subset_scan():
         n = int(rng.integers(4, 9))
         g = graphs.gnp_connected_graph(n, 0.5, rng)
         pi = chain.degree_stationary(g).pi
-        P = chain.lazy_matrix(g).matrix
+        P = chain.lazy_matrix(g)
         best = min(
             chain.conductance_set(P, pi, [v for v in range(n) if mask >> v & 1])
             for mask in range(1, 2 ** n - 1))
@@ -191,7 +207,7 @@ def test_conductance_exhaustive_matches_subset_scan():
 def test_conductance_capability_error_and_sampled_mode():
     g = graphs.cycle_graph(24)
     pi = chain.degree_stationary(g).pi
-    P = chain.lazy_matrix(g).matrix
+    P = chain.lazy_matrix(g)
     with pytest.raises(CapabilityError):
         chain.conductance(P, pi)
     val, exact = chain.conductance_sampled(P, pi, samples=200, seed=0)
@@ -205,7 +221,7 @@ def test_cheeger_inequality_small_graphs():
         n = int(rng.integers(4, 12))
         g = graphs.gnp_connected_graph(n, 0.5, rng)
         pi = chain.degree_stationary(g).pi
-        P = chain.lazy_matrix(g).matrix
+        P = chain.lazy_matrix(g)
         lam = chain.spectral_gap(P, pi)
         phi = chain.conductance(P, pi)
         assert 2 * phi >= lam - 1e-9

@@ -17,11 +17,28 @@ def test_exact_commute_oracles():
         commute.exact_commute(graphs.StaticGraph(4, [(0, 1), (2, 3)]), 0, 2)
 
 
+def test_connectivity_checked_once_per_public_call(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return graphs.is_connected(g)
+
+    monkeypatch.setattr(commute, "is_connected", counting)
+    g = graphs.gnp_connected_graph(8, 0.5, 3)
+    for run in (lambda: commute.exact_commute(g, 0, 5),
+                lambda: commute.cut_sum_upper(g, 0, 5),
+                lambda: commute.commute_matrix(g)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 def test_hitting_times_first_step_consistency():
     rng = np.random.default_rng(0)
     for _ in range(10):
         g = graphs.gnp_connected_graph(int(rng.integers(3, 10)), 0.5, rng)
-        P = chain.lazy_matrix(g).matrix
+        P = chain.lazy_matrix(g)
         for target in range(0, g.n, 2):
             tau = commute.hitting_times_to(g, target)
             resid = tau - (1.0 + P @ tau)

@@ -168,6 +168,6 @@ def test_build_dispatch_and_export(tmp_path):
     barb = constructions.build(constructions.ConstructionSpec(
         name="barbell", params={"n": 9}))
     assert chain.detailed_balance_residual(
-        chain.lazy_matrix(barb.step(1)).matrix, barb.pi) < 1e-12
+        chain.lazy_matrix(barb.step(1)), barb.pi) < 1e-12
     with pytest.raises(GraphError):
         constructions.build(constructions.ConstructionSpec(name="nope"))

@@ -94,6 +94,20 @@ def test_ball_growth_lower_bound():
                 assert 3 * graphs.ball_size(g, u, x) >= min(delta * x, 3 * n)
 
 
+def min_cut_brute_force(g):
+    """Independent oracle for edge_connectivity: enumerate all proper subsets."""
+    if g.n > 16:
+        raise CapabilityError("brute-force min cut limited to n <= 16")
+    if not graphs.is_connected(g):
+        return 0
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    best = g.m
+    for mask in range(1, 1 << (g.n - 1)):  # vertex n-1 stays outside
+        inside = (mask >> u) & 1 != (mask >> v) & 1
+        best = min(best, int(inside.sum()))
+    return best
+
+
 def test_edge_connectivity_known_values():
     assert graphs.edge_connectivity(graphs.cycle_graph(7)) == 2
     assert graphs.edge_connectivity(graphs.complete_graph(5)) == 4
@@ -105,7 +119,7 @@ def test_edge_connectivity_known_values():
 def test_edge_connectivity_circulant_oracle():
     # brute-force oracle value recorded before the max-flow build: 2*rho
     g = graphs.circulant_graph(12, 3)
-    assert graphs.min_cut_brute_force(g) == 6
+    assert min_cut_brute_force(g) == 6
     assert graphs.edge_connectivity(g) == 6
 
 
@@ -114,7 +128,7 @@ def test_edge_connectivity_matches_brute_force_on_random_graphs():
     for _ in range(25):
         n = int(rng.integers(4, 10))
         g = graphs.gnp_connected_graph(n, 0.5, rng)
-        assert graphs.edge_connectivity(g) == graphs.min_cut_brute_force(g)
+        assert graphs.edge_connectivity(g) == min_cut_brute_force(g)
         assert graphs.edge_connectivity(g) <= g.min_degree()
 
 
@@ -176,4 +190,4 @@ def test_graph_text_round_trip(tmp_path):
 
 def test_min_cut_brute_force_capability_limit():
     with pytest.raises(CapabilityError):
-        graphs.min_cut_brute_force(graphs.cycle_graph(17))
+        min_cut_brute_force(graphs.cycle_graph(17))

@@ -85,15 +85,6 @@ def test_read_report_rows_parse_errors(tmp_path):
         reporting.read_report_rows(path)
 
 
-def test_matrix_csv_export(tmp_path):
-    from dynwalks import chain
-    P = chain.lazy_matrix(graphs.cycle_graph(5)).matrix
-    out = tmp_path / "P.csv"
-    chain.write_matrix_csv(P, out)
-    back = np.loadtxt(out, delimiter=",")
-    assert np.array_equal(back, P)
-
-
 def test_loglog_slope():
     assert loglog_slope([8, 16], [1, 2]) is None
     slope, se = loglog_slope([8, 16, 32, 64], [64, 256, 1024, 4096])
@@ -193,6 +184,39 @@ def test_cli_rejects_tmax_where_it_has_no_effect(tmp_path, capsys):
     assert cli.main(["hit", "--schedule", str(sched), "--u", "0", "--v", "5",
                      "--tmax", "3"]) == 0
     assert "T=3 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "random_regular", "--trials", "5"],
+    ["mix", "--trials", "5"],
+    ["hit", "--u", "0", "--v", "1", "--seed", "1"],
+    ["cover", "--eps", "0.1"],
+    ["cover", "--out", "x.csv"],
+    ["verify", "eq-mihai", "--trials", "5"],
+    ["verify", "eq-mihai", "--eps", "1e-6"],
+    ["commute", "--n", "6", "--eps", "1e-6"],
+    ["suite", "eq-mihai", "--schedule", "s.json"],
+])
+def test_cli_verbs_reject_flags_they_do_not_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_suite_rejects_eps_and_trials_where_no_suite_reads_them(tmp_path, capsys):
+    for argv in (["suite", "eq-mihai", "--eps", "1e-6"],
+                 ["suite", "nomixing", "--trials", "5"],
+                 ["suite", "torus-scaling", "--trials", "5"],
+                 ["suite", "all", "--eps", "1e-6"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"--{argv[2][2:]} is read only by" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert cli.main(["suite", "cover-hit-gap", "--sizes", "16", "--trials", "5",
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "cover-hit-gap.csv").exists()
 
 
 def test_default_out_dir_env(tmp_path, monkeypatch):
