@@ -19,7 +19,32 @@ from .reporting import (
     summarize,
     write_report_csv,
 )
-from .suites import INEQUALITY_TO_SUITE, SUITES, SUITES_READING, ExperimentConfig, run_suite
+from .suites import (
+    INEQUALITY_TO_SUITE,
+    KNOBS,
+    SUITES,
+    ExperimentConfig,
+    run_suite,
+    suites_reading,
+)
+
+
+def _positive_int(text: str) -> int:
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int; got {val}")
+    return val
+
+
+def _positive_float(text: str) -> float:
+    val = float(text)
+    if not val > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0; got {val}")
+    return val
+
+
+def _read_by(knob: str) -> str:
+    return f"read by {', '.join(suites_reading(knob))}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     hp.add_argument("--u", type=int, required=True)
     hp.add_argument("--v", type=int, required=True)
     hp.add_argument("--tmax", type=int)
-    hp.add_argument("--eps", type=float)
+    hp.add_argument("--eps", type=_positive_float)
     hp.add_argument("--out", help="output report file")
 
     c = sub.add_parser("cover", help="Monte Carlo cover time")
@@ -59,11 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--start", type=int, default=0)
     c.add_argument("--horizon", type=int, default=1_000_000)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--trials", type=int)
+    c.add_argument("--trials", type=_positive_int)
 
     v = sub.add_parser("verify", help="verify one named inequality")
     v.add_argument("inequality", choices=sorted(INEQUALITY_TO_SUITE))
-    v.add_argument("--seeds", type=int, help="number of seeded instances (scales the run down)")
+    v.add_argument("--seeds", type=_positive_int,
+                   help=f"number of seeded instances ({_read_by('seeds')})")
     v.add_argument("--out", help="output directory")
 
     cm = sub.add_parser("commute", help="commute-time bounds table for a static graph")
@@ -79,12 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("suite", help="run a named verification suite (or 'all')")
     st.add_argument("name", choices=sorted(SUITES) + ["all"])
-    st.add_argument("--sizes", type=int, nargs="*")
-    st.add_argument("--seeds", type=int, help="number of seeded instances")
-    st.add_argument("--trials", type=int,
-                    help=f"Monte Carlo trials ({', '.join(SUITES_READING['trials'])})")
-    st.add_argument("--eps", type=float,
-                    help=f"hitting tolerance ({', '.join(SUITES_READING['eps'])})")
+    st.add_argument("--sizes", type=int, nargs="+",
+                    help=f"instance sizes ({_read_by('sizes')})")
+    st.add_argument("--seeds", type=_positive_int,
+                    help=f"number of seeded instances ({_read_by('seeds')})")
+    st.add_argument("--trials", type=_positive_int,
+                    help=f"Monte Carlo trials ({_read_by('trials')})")
+    st.add_argument("--eps", type=_positive_float,
+                    help=f"hitting tolerance ({_read_by('eps')})")
     st.add_argument("--out", help="output directory")
     return ap
 
@@ -157,7 +185,7 @@ def _cmd_cover(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = ExperimentConfig(
         suite=INEQUALITY_TO_SUITE[args.inequality],
-        seeds=list(range(args.seeds)) if args.seeds else None,
+        seeds=list(range(args.seeds)) if args.seeds is not None else None,
         out=args.out)
     reports, path, ok = run_suite(cfg)
     digest, _ = summarize([path])
@@ -213,8 +241,8 @@ def _cmd_suite(args) -> int:
     for name in names:
         cfg = ExperimentConfig(
             suite=name,
-            sizes=args.sizes if args.sizes else None,
-            seeds=list(range(args.seeds)) if args.seeds else None,
+            sizes=args.sizes,
+            seeds=list(range(args.seeds)) if args.seeds is not None else None,
             trials=args.trials, eps=args.eps, out=args.out)
         _, path, passed = run_suite(cfg)
         paths.append(path)
@@ -227,10 +255,16 @@ def _cmd_suite(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "suite":
-        for flag, readers in SUITES_READING.items():
-            if getattr(args, flag) is not None and args.name not in readers:
-                ap.error(f"suite {args.name}: --{flag} is read only by {', '.join(readers)}")
+    if args.command in ("suite", "verify"):
+        if args.command == "verify":
+            target, names = args.inequality, [INEQUALITY_TO_SUITE[args.inequality]]
+        else:
+            target = args.name
+            names = sorted(SUITES) if target == "all" else [target]
+        for knob in KNOBS:
+            readers = suites_reading(knob)
+            if vars(args).get(knob) is not None and any(n not in readers for n in names):
+                ap.error(f"{args.command} {target}: --{knob} is read only by {', '.join(readers)}")
     handlers = {
         "gen": _cmd_gen, "mix": _cmd_mix, "hit": _cmd_hit, "cover": _cmd_cover,
         "verify": _cmd_verify, "commute": _cmd_commute, "suite": _cmd_suite,

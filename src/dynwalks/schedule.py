@@ -2,15 +2,18 @@
 
 A schedule serves ``step(t)`` for t >= 1.  Three kinds exist: a finite list,
 a periodic list (optionally preceded by a finite prefix), and a seeded
-generator that materializes steps on demand.  Steps and their lazy matrices
-are memoized so repeated traversals stay cheap.
+generator that materializes steps on demand.  Stored steps are served
+straight from their runs; generated steps and all lazy matrices are memoized
+so repeated traversals stay cheap.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from collections import OrderedDict
+from itertools import accumulate
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +24,6 @@ from .graphs import StaticGraph, is_connected
 
 PI_TOL = 1e-10
 _GRAPH_CACHE_CAP = 4096
-
-
-def _runs_total(runs) -> int:
-    return sum(r for _, r in runs)
 
 
 class GraphSchedule:
@@ -55,10 +54,13 @@ class GraphSchedule:
                 raise GraphError("all steps must share the vertex count")
             if rep < 1:
                 raise GraphError("run repeat counts must be >= 1")
-        self._graphs = OrderedDict()
+        self._graphs = OrderedDict()  # generator steps only
         self._matrices = OrderedDict()
-        self._prefix_len = _runs_total(self.prefix_runs)
-        self._cycle_len = _runs_total(self.cycle_runs) if self.cycle_runs else 0
+        # cumulative run ends: step t lies in the first run whose end is >= t
+        self._prefix_ends = list(accumulate(rep for _, rep in self.prefix_runs))
+        self._cycle_ends = list(accumulate(rep for _, rep in self.cycle_runs or []))
+        self._prefix_len = self._prefix_ends[-1] if self._prefix_ends else 0
+        self._cycle_len = self._cycle_ends[-1] if self._cycle_ends else 0
 
     @property
     def kind(self) -> str:
@@ -82,33 +84,23 @@ class GraphSchedule:
         if self.kind == "generator":
             return ("g", t)
         if t <= self._prefix_len:
-            return ("p", self._run_index(self.prefix_runs, t))
+            return ("p", bisect_left(self._prefix_ends, t))
         if self.kind == "finite":
             raise GraphError(f"finite schedule has only {self._prefix_len} steps")
         off = (t - self._prefix_len - 1) % self._cycle_len + 1
-        return ("c", self._run_index(self.cycle_runs, off))
-
-    @staticmethod
-    def _run_index(runs, offset: int) -> int:
-        acc = 0
-        for i, (_, rep) in enumerate(runs):
-            acc += rep
-            if offset <= acc:
-                return i
-        raise GraphError("step offset exceeds runs")
+        return ("c", bisect_left(self._cycle_ends, off))
 
     def step(self, t: int) -> StaticGraph:
-        key = self.step_key(t)
+        kind, i = key = self.step_key(t)
+        if kind == "p":
+            return self.prefix_runs[i][0]
+        if kind == "c":
+            return self.cycle_runs[i][0]
         got = self._graphs.get(key)
         if got is not None:
             self._graphs.move_to_end(key)
             return got
-        if key[0] == "p":
-            g = self.prefix_runs[key[1]][0]
-        elif key[0] == "c":
-            g = self.cycle_runs[key[1]][0]
-        else:
-            g = _generator_step(self.n, self.generator, t)
+        g = _generator_step(self.n, self.generator, t)
         self._graphs[key] = g
         if len(self._graphs) > _GRAPH_CACHE_CAP:
             self._graphs.popitem(last=False)
@@ -171,7 +163,7 @@ def validate_common_stationary(s: GraphSchedule, horizon: int, candidate_pi=None
     if horizon < 1:
         raise GraphError("horizon must be >= 1")
     if s.kind == "periodic":
-        horizon = _runs_total(s.prefix_runs) + s.period
+        horizon = s._prefix_len + s.period
     elif s.kind == "finite":
         horizon = min(horizon, s.horizon)
 

@@ -1,13 +1,16 @@
 """Named verification suites, one per acceptance criterion.
 
-Each suite is a deterministic function of its config: it builds schedules or
-graphs from pinned seeds, checks the relevant inequalities, and returns
-BoundReport rows.  ``run_suite`` writes them as CSV; re-running a suite with
-an identical config yields a byte-identical CSV body.
+Each suite is a deterministic function of its keyword-only knobs: it builds
+schedules or graphs from pinned seeds, checks the relevant inequalities, and
+returns BoundReport rows.  The signature is the one declaration of which
+``ExperimentConfig`` knobs a suite reads and of their defaults.  ``run_suite``
+writes the rows as CSV; re-running a suite with an identical config yields a
+byte-identical CSV body.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, fields
 
@@ -23,10 +26,10 @@ EXACT_TOL = 1e-9
 
 @dataclass
 class ExperimentConfig:
-    """Knobs shared by the suites; unknown keys are rejected up front.
+    """Overrides for a suite's knobs; unknown keys are rejected up front.
 
-    sizes/seeds scale a suite down (or up); the remaining fields override the
-    suite's pinned defaults where they apply.
+    A suite reads the knobs its signature names, with the defaults written
+    there; ``run_suite`` rejects a set knob the suite does not read.
     """
 
     suite: str
@@ -38,6 +41,22 @@ class ExperimentConfig:
     eps: float | None = None
     tolerance: float | None = None
     out: str | None = None
+
+    def __post_init__(self):
+        for name in ("sizes", "seeds"):
+            val = getattr(self, name)
+            if val is not None and not (isinstance(val, list) and val
+                                        and all(_is_int(x) for x in val)):
+                raise GraphError(f"{name} must be a non-empty list of ints; got {val!r}")
+        for name in ("trials", "steps", "horizon"):
+            val = getattr(self, name)
+            if val is not None and not (_is_int(val) and val >= 1):
+                raise GraphError(f"{name} must be an int >= 1; got {val!r}")
+        if self.eps is not None and not (_is_real(self.eps) and self.eps > 0):
+            raise GraphError(f"eps must be > 0; got {self.eps!r}")
+        if self.tolerance is not None and not (_is_real(self.tolerance)
+                                               and self.tolerance >= 0):
+            raise GraphError(f"tolerance must be >= 0; got {self.tolerance!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -54,27 +73,40 @@ class ExperimentConfig:
                 if getattr(self, f.name) is not None}
 
 
-def _seed_list(cfg: ExperimentConfig, default_count: int) -> list[int]:
-    return list(cfg.seeds) if cfg.seeds is not None else list(range(default_count))
+# the ExperimentConfig fields a suite can read
+KNOBS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in ("suite", "out"))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _only(suite: str, knob: str, values):
+    """The one entry of a knob that a suite reads a single value of."""
+    if len(values) != 1:
+        raise GraphError(f"{suite} reads a single entry of {knob}; got {list(values)}")
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
 # criterion 1: per-step variance decay (eq-mihai)
 # ---------------------------------------------------------------------------
 
-def suite_eq_mihai(cfg: ExperimentConfig) -> list[BoundReport]:
+def suite_eq_mihai(*, seeds=range(100), steps=200, tolerance=DECAY_TOL) -> list[BoundReport]:
     n = 32
-    steps = cfg.steps or 200
-    tol = cfg.tolerance or DECAY_TOL
     out = []
-    for seed in _seed_list(cfg, 100):
+    for seed in seeds:
         s = constructions.build_random_regular_schedule(n, 4, seed=seed)
-        checks = walks.variance_decay_checks(s, seed % n, steps, s.pi, tol=tol)
+        checks = walks.variance_decay_checks(s, seed % n, steps, s.pi, tol=tolerance)
         worst = min(c.margin for c in checks)
         out.append(BoundReport(
             suite="eq-mihai", inequality_id="eq-mihai",
             instance=f"random-4-regular n={n} steps={steps} start={seed % n}",
-            lhs=-worst, rhs=0.0, tolerance=tol, provenance="PAPER",
+            lhs=-worst, rhs=0.0, tolerance=tolerance, provenance="PAPER",
             n=n, seed=seed, schedule_hash=schedule.schedule_hash(s),
             extra={"violations": sum(not c.ok for c in checks)}))
     return out
@@ -84,19 +116,17 @@ def suite_eq_mihai(cfg: ExperimentConfig) -> list[BoundReport]:
 # criterion 2: pointwise deviation bound (lemma-imp)
 # ---------------------------------------------------------------------------
 
-def suite_lemma_imp(cfg: ExperimentConfig) -> list[BoundReport]:
+def suite_lemma_imp(*, seeds=range(100), steps=200, tolerance=DECAY_TOL) -> list[BoundReport]:
     n = 32
-    steps = cfg.steps or 200
-    tol = cfg.tolerance or DECAY_TOL
     out = []
-    for seed in _seed_list(cfg, 100):
+    for seed in seeds:
         s = constructions.build_random_regular_schedule(n, 4, seed=seed)
-        checks = walks.ratio_deviation_checks(s, seed % n, steps, s.pi, tol=tol)
+        checks = walks.ratio_deviation_checks(s, seed % n, steps, s.pi, tol=tolerance)
         worst = min(c.margin for c in checks)
         out.append(BoundReport(
             suite="lemma-imp", inequality_id="lemma-imp",
             instance=f"random-4-regular n={n} steps={steps} start={seed % n}",
-            lhs=-worst, rhs=0.0, tolerance=tol, provenance="PAPER",
+            lhs=-worst, rhs=0.0, tolerance=tolerance, provenance="PAPER",
             n=n, seed=seed, schedule_hash=schedule.schedule_hash(s),
             extra={"triggered": sum(c.deviation > 0 for c in checks),
                    "violations": sum(not c.ok for c in checks)}))
@@ -131,23 +161,22 @@ def _thm_average_cases(seeds):
             yield seed, s, s.pi, seed % (3 * n), [4, 8, 16][seed % 3], seed % n
 
 
-def suite_thm_average(cfg: ExperimentConfig) -> list[BoundReport]:
-    tol = cfg.tolerance or DECAY_TOL
+def suite_thm_average(*, seeds=range(100), tolerance=DECAY_TOL) -> list[BoundReport]:
     out = []
-    for seed, s, pi, t1, w, start in _thm_average_cases(_seed_list(cfg, 100)):
-        chk = walks.window_average_decay_check(s, t1, w, start, pi, tol=tol)
+    for seed, s, pi, t1, w, start in _thm_average_cases(seeds):
+        chk = walks.window_average_decay_check(s, t1, w, start, pi, tol=tolerance)
         h = schedule.schedule_hash(s)
         out.append(BoundReport(
             suite="thm-average", inequality_id="thm-average",
             instance=f"{s.name} t1={t1} w={w} start={start}",
-            lhs=chk.bound, rhs=chk.var_drop, tolerance=tol, provenance="PAPER",
+            lhs=chk.bound, rhs=chk.var_drop, tolerance=tolerance, provenance="PAPER",
             n=s.n, seed=seed, schedule_hash=h,
             extra={"gap": chk.gap, "dirichlet_avg": chk.dirichlet_avg}))
         # second chained inequality, normalized: E_Pbar(rho) >= gap * Var(rho)
         out.append(BoundReport(
             suite="thm-average", inequality_id="thm-average-normalized",
             instance=f"{s.name} t1={t1} w={w} start={start}",
-            lhs=chk.gap * chk.var_start, rhs=chk.dirichlet_avg, tolerance=tol,
+            lhs=chk.gap * chk.var_start, rhs=chk.dirichlet_avg, tolerance=tolerance,
             provenance="PAPER", n=s.n, seed=seed, schedule_hash=h))
     return out
 
@@ -156,22 +185,21 @@ def suite_thm_average(cfg: ExperimentConfig) -> list[BoundReport]:
 # criterion 4: midpoint bound (lemma-inftoell2)
 # ---------------------------------------------------------------------------
 
-def suite_midpoint(cfg: ExperimentConfig) -> list[BoundReport]:
+def suite_midpoint(*, seeds=range(500), tolerance=DECAY_TOL) -> list[BoundReport]:
     n = 16
-    tol = cfg.tolerance or DECAY_TOL
     out = []
-    for seed in _seed_list(cfg, 500):
+    for seed in seeds:
         rng = np.random.default_rng([4242, seed])
         d = 3 + (seed % 2)
         s = constructions.build_random_regular_schedule(n, d, seed=seed)
         u, v = int(rng.integers(n)), int(rng.integers(n))
         t1 = int(rng.integers(0, 11))
         t2 = t1 + int(rng.integers(1, 31))
-        chk = walks.verify_midpoint_bound(s, u, v, t1, t2, s.pi, tol=tol)
+        chk = walks.verify_midpoint_bound(s, u, v, t1, t2, s.pi, tol=tolerance)
         out.append(BoundReport(
             suite="lemma-inftoell2", inequality_id="lemma-inftoell2",
             instance=f"u={u} v={v} t1={t1} t2={t2} d={d}",
-            lhs=chk.lhs, rhs=chk.rhs, tolerance=tol, provenance="PAPER",
+            lhs=chk.lhs, rhs=chk.rhs, tolerance=tolerance, provenance="PAPER",
             n=n, seed=seed, schedule_hash=schedule.schedule_hash(s),
             extra={"term_u": chk.term_u, "term_v": chk.term_v,
                    "alt_split_rhs": chk.alt_rhs,
@@ -232,11 +260,11 @@ def _cheeger_rows(name, g, seed=None) -> list[BoundReport]:
     ]
 
 
-def suite_cheeger_ballsize(cfg: ExperimentConfig) -> list[BoundReport]:
+def suite_cheeger_ballsize(*, seeds=range(500)) -> list[BoundReport]:
     out = []
     for name, g in canonical_small_graphs():
         out.extend(_cheeger_rows(name, g))
-    for seed in _seed_list(cfg, 500):
+    for seed in seeds:
         n = 4 + (seed % 9)
         p = (0.3, 0.5, 0.7)[seed % 3]
         g = graphs.gnp_connected_graph(n, p, [52, seed])
@@ -258,9 +286,7 @@ def _random_pairs(n: int, count: int, seed) -> list[tuple[int, int]]:
     return pairs
 
 
-def suite_worst_case(cfg: ExperimentConfig) -> list[BoundReport]:
-    sizes = cfg.sizes or [16, 32, 64]
-    eps = cfg.eps or 1e-9
+def suite_worst_case(*, sizes=(16, 32, 64), eps=1e-9, trials=2000) -> list[BoundReport]:
     out = []
     t_hit, t_mix = {}, {}
     for n in sizes:
@@ -292,7 +318,7 @@ def suite_worst_case(cfg: ExperimentConfig) -> list[BoundReport]:
     # Monte Carlo cross-check at the smallest size
     n, s = sizes[0], s_cross
     ex = walks.exact_hitting(s, 0, 7 % n, eps=eps)
-    mc = walks.monte_carlo(s, 0, seed=42, trials=cfg.trials or 2000,
+    mc = walks.monte_carlo(s, 0, seed=42, trials=trials,
                            stop=("hit", 7 % n), horizon=100_000)
     out.append(BoundReport(
         suite="worst-case", inequality_id="worsthit-mc-cross",
@@ -308,15 +334,25 @@ def suite_worst_case(cfg: ExperimentConfig) -> list[BoundReport]:
 # criterion 7: torus isoperimetric scaling
 # ---------------------------------------------------------------------------
 
-def suite_torus(cfg: ExperimentConfig) -> list[BoundReport]:
-    eps = cfg.eps or 1e-6
+# (dimension, sides, hitting-time normalization, its label) of each torus family
+_TORI = (
+    (3, [4, 5, 6], lambda n: n, "t_hit/n"),
+    (2, [8, 12, 16], lambda n: n * math.log(n), "t_hit/(n log n)"),
+)
+
+
+def suite_torus(*, sizes=None, eps=1e-6) -> list[BoundReport]:
+    """``sizes`` picks sides from the families' lists (None: every side); a
+    family none of whose sides is picked runs its smallest side."""
+    if sizes is not None:
+        unknown = sorted(set(sizes) - {side for _, sides, _, _ in _TORI for side in sides})
+        if unknown:
+            raise GraphError(f"torus-scaling: sizes {unknown} are not sides of any torus "
+                             f"({', '.join(str(sides) for _, sides, _, _ in _TORI)})")
     out = []
-    for dim, sides, norm, label in (
-        (3, [4, 5, 6], lambda n: n, "t_hit/n"),
-        (2, [8, 12, 16], lambda n: n * math.log(n), "t_hit/(n log n)"),
-    ):
-        if cfg.sizes is not None:
-            sides = [s for s in sides if s in cfg.sizes] or sides[:1]
+    for dim, sides, norm, label in _TORI:
+        if sizes is not None:
+            sides = [s for s in sides if s in sizes] or sides[:1]
         ratios = {}
         for side in sides:
             s = constructions.build_torus_schedule(dim, side, seed=100 * dim + side)
@@ -344,7 +380,7 @@ def suite_torus(cfg: ExperimentConfig) -> list[BoundReport]:
 # criterion 8: Prop-nohitting counterexample family
 # ---------------------------------------------------------------------------
 
-def suite_counterexamples(cfg: ExperimentConfig) -> list[BoundReport]:
+def suite_counterexamples(*, sizes=(8, 12, 16), eps=1e-9) -> list[BoundReport]:
     n = 16
     k = n // 4
     out = []
@@ -374,11 +410,11 @@ def suite_counterexamples(cfg: ExperimentConfig) -> list[BoundReport]:
 
     # hitting growth across sizes
     hits = {}
-    for m in (cfg.sizes or [8, 12, 16]):
+    for m in sizes:
         sm = constructions.build_nohitting(m)
         km = m // 4
         target = set(range(4 * (km - 1), 4 * km))
-        est = walks.exact_hitting(sm, 0, target, eps=cfg.eps or 1e-9)
+        est = walks.exact_hitting(sm, 0, target, eps=eps)
         hits[m] = est.lower
         out.append(BoundReport(
             suite="counterexamples", inequality_id="nohitting-hit-scaling",
@@ -422,10 +458,12 @@ def suite_counterexamples(cfg: ExperimentConfig) -> list[BoundReport]:
 # criterion 9: Prop-nomixing mass pile-up
 # ---------------------------------------------------------------------------
 
-def suite_nomixing(cfg: ExperimentConfig) -> list[BoundReport]:
-    n = (cfg.sizes or [1000])[0]
-    t = cfg.steps or 3 * math.ceil(math.log10(n))
-    s = constructions.build_nomixing(n, t, seed=(cfg.seeds or [7])[0])
+def suite_nomixing(*, sizes=(1000,), steps=None, seeds=(7,)) -> list[BoundReport]:
+    """``steps`` None runs 3 ceil(log10 n) steps."""
+    n = _only("nomixing", "sizes", sizes)
+    seed = _only("nomixing", "seeds", seeds)
+    t = steps if steps is not None else 3 * math.ceil(math.log10(n))
+    s = constructions.build_nomixing(n, t, seed=seed)
     h = schedule.schedule_hash(s)
     sizes = s.meta["set_sizes"]
     start = s.meta["active_start"]
@@ -463,10 +501,10 @@ def suite_nomixing(cfg: ExperimentConfig) -> list[BoundReport]:
 # criterion 10: commute sandwich and path tightness
 # ---------------------------------------------------------------------------
 
-def suite_commute_bounds(cfg: ExperimentConfig) -> list[BoundReport]:
-    tol = cfg.tolerance or EXACT_TOL
+def suite_commute_bounds(*, seeds=range(200), sizes=range(3, 13),
+                         tolerance=EXACT_TOL) -> list[BoundReport]:
     out = []
-    for seed in _seed_list(cfg, 200):
+    for seed in seeds:
         n = 4 + (seed % 7)
         p = 0.45 + 0.1 * (seed % 3)
         g = graphs.gnp_connected_graph(n, p, [60, seed])
@@ -485,12 +523,12 @@ def suite_commute_bounds(cfg: ExperimentConfig) -> list[BoundReport]:
         out.append(BoundReport(
             suite="commute-bounds", inequality_id="cutsum-upper",
             instance=f"gnp n={n} p={p:.2f}, exhaustive ordered pairs", lhs=worst_upper,
-            rhs=0.0, tolerance=tol, provenance="DERIVED", n=n, seed=seed))
+            rhs=0.0, tolerance=tolerance, provenance="DERIVED", n=n, seed=seed))
         out.append(BoundReport(
             suite="commute-bounds", inequality_id="nw-lower",
             instance=f"gnp n={n} p={p:.2f}, exhaustive ordered pairs", lhs=worst_lower,
-            rhs=0.0, tolerance=tol, provenance="DERIVED", n=n, seed=seed))
-    for n in (cfg.sizes or range(3, 13)):
+            rhs=0.0, tolerance=tolerance, provenance="DERIVED", n=n, seed=seed))
+    for n in sizes:
         g = graphs.path_graph(n)
         expected = 4.0 * (n - 1) ** 2
         exact = commute.exact_commute(g, 0, n - 1)
@@ -510,7 +548,7 @@ def suite_commute_bounds(cfg: ExperimentConfig) -> list[BoundReport]:
 # criterion 11: monotone connected-prefix labellings
 # ---------------------------------------------------------------------------
 
-def suite_connected_labelling(cfg: ExperimentConfig) -> list[BoundReport]:
+def suite_connected_labelling() -> list[BoundReport]:
     out = []
     graphs_list = canonical_small_graphs()
     for name, g in graphs_list:
@@ -546,10 +584,10 @@ def suite_connected_labelling(cfg: ExperimentConfig) -> list[BoundReport]:
 # criterion 12: averaged Cheeger comparison (eq-interesting)
 # ---------------------------------------------------------------------------
 
-def suite_eq_interesting(cfg: ExperimentConfig) -> list[BoundReport]:
+def suite_eq_interesting(*, sizes=(8, 12)) -> list[BoundReport]:
     out = []
     cases = [("complete-prism", graphs.complete_prism_graph(m), "PAPER")
-             for m in (cfg.sizes or [8, 12])]
+             for m in sizes]
     cases.append(("complete-4", graphs.complete_graph(4), "DERIVED"))
     cases.append(("complete-12", graphs.complete_graph(12), "DERIVED"))
     for name, g, prov in cases:
@@ -570,8 +608,7 @@ def suite_eq_interesting(cfg: ExperimentConfig) -> list[BoundReport]:
 CONNECTIVITY_RATIO_C = 4.0  # pinned from the oracle run: max measured 3.27 at rho=4
 
 
-def suite_circulant(cfg: ExperimentConfig) -> list[BoundReport]:
-    sizes = cfg.sizes or [32, 64, 128]
+def suite_circulant(*, sizes=(32, 64, 128)) -> list[BoundReport]:
     out = []
     for rho in (2, 4):
         ratios = {}
@@ -593,7 +630,7 @@ def suite_circulant(cfg: ExperimentConfig) -> list[BoundReport]:
         band = max(ratios.values()) / min(ratios.values())
         out.append(BoundReport(
             suite="circulant-connectivity", inequality_id="optimalconn-band",
-            instance=f"rho={rho} maxC/(n^2/rho) across n={sizes}", lhs=band,
+            instance=f"rho={rho} maxC/(n^2/rho) across n={list(sizes)}", lhs=band,
             rhs=4.0, tolerance=0.0, provenance="PAPER", n=max(sizes)))
     return out
 
@@ -602,15 +639,14 @@ def suite_circulant(cfg: ExperimentConfig) -> list[BoundReport]:
 # criterion 14: cover/hit gap on complete-then-cycle
 # ---------------------------------------------------------------------------
 
-def suite_cover_hit(cfg: ExperimentConfig) -> list[BoundReport]:
-    n = (cfg.sizes or [128])[0]
-    trials = cfg.trials or 200
+def suite_cover_hit(*, sizes=(128,), trials=200, horizon=400_000) -> list[BoundReport]:
+    n = _only("cover-hit-gap", "sizes", sizes)
     s = constructions.build_complete_then_cycle(n, seed=0)
     h = schedule.schedule_hash(s)
     hit = walks.monte_carlo(s, 0, seed=1401, trials=trials, stop=("hit", n // 2),
-                            horizon=cfg.horizon or 400_000)
+                            horizon=horizon)
     cov = walks.monte_carlo(s, 0, seed=1402, trials=trials, stop=("cover",),
-                            horizon=cfg.horizon or 400_000)
+                            horizon=horizon)
     out = [
         BoundReport(
             suite="cover-hit-gap", inequality_id="coverhit-ratio",
@@ -657,26 +693,36 @@ INEQUALITY_TO_SUITE = {
     "eq-interesting": "eq-interesting",
 }
 
-# the suites whose results cfg.eps and cfg.trials change; the others ignore them
-SUITES_READING = {
-    "eps": ("worst-case", "torus-scaling", "counterexamples"),
-    "trials": ("worst-case", "cover-hit-gap"),
-}
+def suite_knobs(name: str):
+    """The knobs suite ``name`` reads: the parameters its signature names."""
+    return inspect.signature(SUITES[name]).parameters
+
+
+def suites_reading(knob: str) -> tuple[str, ...]:
+    """The suites that read ``knob``, in registry order."""
+    return tuple(name for name in SUITES if knob in suite_knobs(name))
 
 
 def run_suite(cfg: ExperimentConfig, out_path=None):
     """Execute one suite, write its CSV, and return (reports, path, all_passed).
 
-    A precondition failure inside the suite still produces a machine-readable
-    error record at the output path before the exception propagates.
+    The knobs set in ``cfg`` are passed to the suite; one it does not read is
+    rejected before anything is written.  A precondition failure inside the
+    suite still produces a machine-readable error record at the output path
+    before the exception propagates.
     """
     if cfg.suite not in SUITES:
         raise GraphError(f"unknown suite {cfg.suite!r}; known: {sorted(SUITES)}")
+    knobs = {k: getattr(cfg, k) for k in KNOBS if getattr(cfg, k) is not None}
+    for knob in knobs:
+        if knob not in suite_knobs(cfg.suite):
+            raise GraphError(f"suite {cfg.suite}: {knob} is read only by "
+                             f"{', '.join(suites_reading(knob))}")
     if out_path is None:
         out_dir = cfg.out or default_out_dir()
         out_path = f"{out_dir}/{cfg.suite}.csv"
     try:
-        reports = SUITES[cfg.suite](cfg)
+        reports = SUITES[cfg.suite](**knobs)
     except Exception as err:
         record = BoundReport(
             suite=cfg.suite, inequality_id="suite-error", instance=repr(err),

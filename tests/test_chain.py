@@ -48,6 +48,28 @@ def test_degree_stationary_examples():
         chain.degree_stationary(graphs.StaticGraph(3, []))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.sampled_from(["gnp", "regular", "isolated"]))
+def test_degree_stationary_detailed_balance(n, seed, family):
+    # the certification degree_stationary no longer runs on a dense matrix
+    rng = np.random.default_rng(seed)
+    if family == "gnp":
+        g = graphs.gnp_connected_graph(n, 0.3, rng)
+    elif family == "regular":
+        n = max(n, 4)
+        d = int(rng.integers(2, min(n - 1, 4) + 1))
+        g = graphs.random_regular_graph(n, d - (n * d) % 2, rng)
+    else:
+        # a G(k, 1/2) sample on the first k vertices, the rest isolated
+        k = int(rng.integers(2, n + 1))
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.5]
+        g = graphs.StaticGraph(n + 2, pairs or [(0, 1)])
+    dist = chain.degree_stationary(g)
+    assert np.array_equal(dist.pi, g.degree / (2.0 * g.m))
+    assert chain.detailed_balance_residual(chain.lazy_matrix(g), dist.pi) <= 1e-12
+    assert dist.pi_star == dist.pi[dist.pi > 0].min()
+
+
 def test_degree_stationary_barbell_fixed_point():
     g = graphs.barbell_graph(9)
     dist = chain.degree_stationary(g)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 from dynwalks import cli, graphs, reporting, schedule
 from dynwalks.errors import GraphError
 from dynwalks.reporting import BoundReport, csv_body, loglog_slope
-from dynwalks.suites import SUITES, ExperimentConfig, run_suite
+from dynwalks.suites import KNOBS, SUITES, ExperimentConfig, run_suite
 
 
 def make_report(lhs=1.0, rhs=2.0, **kw):
@@ -106,7 +107,7 @@ def test_experiment_config_rejects_unknown_keys():
 def test_run_suite_error_record(tmp_path, monkeypatch):
     from dynwalks import suites
 
-    def boom(cfg):
+    def boom():
         raise GraphError("bad precondition")
 
     monkeypatch.setitem(suites.SUITES, "eq-interesting", boom)
@@ -217,6 +218,124 @@ def test_cli_suite_rejects_eps_and_trials_where_no_suite_reads_them(tmp_path, ca
     assert cli.main(["suite", "cover-hit-gap", "--sizes", "16", "--trials", "5",
                      "--out", str(tmp_path)]) == 0
     assert (tmp_path / "cover-hit-gap.csv").exists()
+
+
+# the knobs each suite reads; every other (suite, knob) pair must be rejected
+READS = {
+    "eq-mihai": {"seeds", "steps", "tolerance"},
+    "lemma-imp": {"seeds", "steps", "tolerance"},
+    "thm-average": {"seeds", "tolerance"},
+    "lemma-inftoell2": {"seeds", "tolerance"},
+    "cheeger-ballsize": {"seeds"},
+    "worst-case": {"sizes", "eps", "trials"},
+    "torus-scaling": {"sizes", "eps"},
+    "counterexamples": {"sizes", "eps"},
+    "nomixing": {"sizes", "steps", "seeds"},
+    "commute-bounds": {"seeds", "sizes", "tolerance"},
+    "connected-labelling": set(),
+    "eq-interesting": {"sizes"},
+    "circulant-connectivity": {"sizes"},
+    "cover-hit-gap": {"sizes", "trials", "horizon"},
+}
+KNOB_VALUES = {"sizes": [8], "seeds": [3], "trials": 5, "horizon": 100, "steps": 3,
+               "eps": 1e-6, "tolerance": 1e-8}
+
+
+# (suite, flag) pairs the CLI accepted and ignored before suites declared their knobs
+CLI_UNREAD = [(name, knob) for name in sorted(READS) for knob in ("sizes", "seeds")
+              if knob not in READS[name]]
+
+
+def test_read_table_counts():
+    assert set(READS) == set(SUITES) and set(KNOB_VALUES) == set(KNOBS)
+    assert sum(len(knobs) for knobs in READS.values()) == 29
+    assert len(CLI_UNREAD) == 13
+
+
+@pytest.mark.parametrize("knob", sorted(KNOB_VALUES))
+@pytest.mark.parametrize("name", sorted(READS))
+def test_run_suite_passes_read_knobs_and_rejects_the_rest(tmp_path, monkeypatch, name, knob):
+    real = SUITES[name]
+    calls = []
+
+    @functools.wraps(real)  # keeps the real signature visible to run_suite
+    def recorder(**kw):
+        calls.append(kw)
+        return []
+
+    monkeypatch.setitem(SUITES, name, recorder)
+    cfg = ExperimentConfig(suite=name, out=str(tmp_path), **{knob: KNOB_VALUES[knob]})
+    if knob in READS[name]:
+        run_suite(cfg)
+        assert calls == [{knob: KNOB_VALUES[knob]}]
+        assert (tmp_path / f"{name}.csv").exists()
+    else:
+        with pytest.raises(GraphError, match=f"{knob} is read only by"):
+            run_suite(cfg)
+        assert calls == [] and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    *[["suite", name, f"--{knob}", str(KNOB_VALUES[knob][0])] for name, knob in CLI_UNREAD],
+    ["verify", "eq-interesting", "--seeds", "2"],
+    ["suite", "all", "--sizes", "8"],
+    ["suite", "all", "--seeds", "2"],
+    ["suite", "all", "--trials", "5"],
+    ["suite", "all", "--eps", "1e-6"],
+])
+def test_cli_rejects_sizes_and_seeds_where_the_suite_ignores_them(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"{argv[2]} is read only by" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kw", [
+    {"seeds": []}, {"sizes": []}, {"seeds": [0.5]}, {"sizes": (8,)}, {"seeds": [True]},
+    {"trials": 0}, {"steps": 0}, {"horizon": 0}, {"trials": 2.0},
+    {"eps": 0.0}, {"eps": -1e-9}, {"tolerance": -1e-12}, {"tolerance": float("nan")},
+])
+def test_experiment_config_rejects_zero_and_empty_overrides(tmp_path, kw):
+    with pytest.raises(GraphError):
+        ExperimentConfig(suite="eq-mihai", **kw)
+    with pytest.raises(GraphError):
+        ExperimentConfig.from_dict({"suite": "eq-mihai", **kw})
+
+
+def test_zero_tolerance_is_used_not_replaced(tmp_path):
+    cfg = ExperimentConfig(suite="eq-mihai", seeds=[0], steps=2, tolerance=0.0,
+                           out=str(tmp_path))
+    reports, _, _ = run_suite(cfg)
+    assert [r.tolerance for r in reports] == [0.0]
+    assert "steps=2 " in reports[0].instance
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "lemma-inftoell2", "--seeds", "0"],
+    ["suite", "worst-case", "--trials", "0"],
+    ["suite", "worst-case", "--eps", "0"],
+    ["suite", "eq-interesting", "--sizes"],
+    ["verify", "eq-mihai", "--seeds", "0"],
+    ["cover", "--trials", "-1"],
+])
+def test_cli_rejects_zero_and_empty_overrides(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path)] if argv[0] != "cover" else argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("nomixing", {"sizes": [200, 500]}),
+    ("nomixing", {"seeds": [1, 2]}),
+    ("cover-hit-gap", {"sizes": [16, 32]}),
+    ("torus-scaling", {"sizes": [7]}),
+    ("torus-scaling", {"sizes": [4, 9]}),
+])
+def test_suites_reject_entries_they_would_ignore(tmp_path, name, kw):
+    with pytest.raises(GraphError):
+        run_suite(ExperimentConfig(suite=name, out=str(tmp_path), **kw))
 
 
 def test_default_out_dir_env(tmp_path, monkeypatch):

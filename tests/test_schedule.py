@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynwalks import chain, constructions, graphs, schedule
 from dynwalks.errors import GraphError, ValidationError
@@ -19,6 +21,30 @@ def test_step_indexing_and_period():
     assert s.step(2) == s.step(4)
     with pytest.raises(GraphError):
         s.step(0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 50), max_size=6), st.lists(st.integers(1, 50), max_size=6))
+def test_step_serves_runs_like_the_expanded_list(prefix_reps, cycle_reps):
+    graphs_ = [graphs.StaticGraph(4, [(0, 1 + i % 3)]) for i in range(12)]
+    prefix = list(zip(graphs_[:6], prefix_reps))
+    cycle = list(zip(graphs_[6:], cycle_reps))
+    flat_prefix = [g for g, rep in prefix for _ in range(rep)]
+    flat_cycle = [g for g, rep in cycle for _ in range(rep)]
+    s = schedule.GraphSchedule(4, prefix_runs=prefix, cycle_runs=cycle)
+    if cycle:
+        flat = flat_prefix + 3 * flat_cycle
+        assert s.kind == "periodic" and s.period == len(flat_cycle)
+    else:
+        flat = flat_prefix
+        assert s.kind == "finite" and s.horizon == len(flat)
+        with pytest.raises(GraphError):
+            s.step(len(flat) + 1)
+    keys = {}
+    for t, g in enumerate(flat, start=1):
+        assert s.step(t) is g
+        assert keys.setdefault(s.step_key(t), g) is g
+    assert not s._graphs
 
 
 def test_finite_schedule_bounds():
