@@ -14,7 +14,7 @@ import numpy as np
 from dynwalks import constructions, schedule, walks
 
 print("-- cover/hit gap on complete-then-cycle, n=128")
-s = constructions.build_complete_then_cycle(128, seed=0)
+s = constructions.build_complete_then_cycle(128)
 hit = walks.monte_carlo(s, 0, seed=1401, trials=200, stop=("hit", 64), horizon=400_000)
 cov = walks.monte_carlo(s, 0, seed=1402, trials=200, stop=("cover",), horizon=400_000)
 print(f"  hit mean   {hit.mean:8.1f} +- {hit.stderr:.1f}")

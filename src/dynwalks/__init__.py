@@ -6,7 +6,7 @@ time-invariant stationary distribution, plus the static-graph commute-time
 toolkit the same analysis rests on.
 """
 
-from .graphs import StaticGraph, generate, edge_boundary, ball_size, edge_connectivity
+from .graphs import StaticGraph, edge_boundary, ball_size, edge_connectivity
 from .chain import (
     StationaryDistribution,
     lazy_matrix,
@@ -40,8 +40,6 @@ from .walks import (
     verify_midpoint_bound,
 )
 from .constructions import (
-    ConstructionSpec,
-    build,
     build_expander_matching,
     build_complete_then_cycle,
     build_nomixing,

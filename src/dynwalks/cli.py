@@ -8,6 +8,7 @@ status is 0 only if every checked bound passed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -24,9 +25,19 @@ from .suites import (
     KNOBS,
     SUITES,
     ExperimentConfig,
+    readers,
     run_suite,
-    suites_reading,
 )
+
+# flag -> (type, meaning) of the parameters of `gen`'s builders and `commute`'s
+# graph families; a verb offers the ones its callees' signatures name
+FLAGS = {
+    "n": (int, "vertex count"), "d": (int, "degree"), "t": (int, "step budget"),
+    "c": (float, "complete-phase constant"), "dim": (int, "torus dimension"),
+    "side": (int, "torus side"), "rho": (int, "circulant connectivity parameter"),
+    "p": (float, "edge probability"), "seed": (int, "generator seed"),
+}
+DEFAULT_COMMUTE_FAMILY = "gnp_connected"
 
 
 def _positive_int(text: str) -> int:
@@ -43,8 +54,38 @@ def _positive_float(text: str) -> float:
     return val
 
 
-def _read_by(knob: str) -> str:
-    return f"read by {', '.join(suites_reading(knob))}"
+def _read_by(registry: dict, knob: str) -> str:
+    return f"read by {', '.join(readers(registry, knob))}"
+
+
+def _offered(registry: dict) -> list[str]:
+    """The FLAGS that some function in ``registry`` reads."""
+    return [flag for flag in FLAGS if readers(registry, flag)]
+
+
+def _add_flags(p: argparse.ArgumentParser, registry: dict) -> None:
+    for flag in _offered(registry):
+        kind, meaning = FLAGS[flag]
+        p.add_argument(f"--{flag}", type=kind,
+                       help=f"{meaning} ({_read_by(registry, flag)})")
+
+
+def _read_flags(ap, args, target: str, registry: dict, names, flags) -> dict:
+    """The flags set among ``flags``, as keyword arguments for each of
+    ``registry[name]``.  Exits with status 2 before anything is written when
+    a set flag is not a parameter of every such function, or when one of
+    them has a required parameter left unset."""
+    kwargs = {f: vars(args)[f] for f in flags if vars(args).get(f) is not None}
+    for flag in kwargs:
+        reading = readers(registry, flag)
+        if any(name not in reading for name in names):
+            ap.error(f"{target}: --{flag} is read only by {', '.join(reading)}")
+    for name in names:
+        missing = [p.name for p in inspect.signature(registry[name]).parameters.values()
+                   if p.default is p.empty and p.name not in kwargs]
+        if missing:
+            ap.error(f"{target}: needs --{', --'.join(missing)}")
+    return kwargs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,17 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="build a construction and write its schedule file")
-    g.add_argument("construction", choices=[
-        "expander_matching", "random_regular", "complete_then_cycle", "nomixing",
-        "nohitting", "nohitting_doubled", "torus_schedule", "circulant", "barbell"])
-    g.add_argument("--d", type=int, help="degree (random_regular)")
-    g.add_argument("--t", type=int, help="step budget (nomixing)")
-    g.add_argument("--c", type=float, help="complete-phase constant")
-    g.add_argument("--dim", type=int, help="torus dimension")
-    g.add_argument("--side", type=int, help="torus side")
-    g.add_argument("--rho", type=int, help="circulant connectivity parameter")
-    g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("construction", choices=list(constructions.BUILDERS))
+    _add_flags(g, constructions.BUILDERS)
     g.add_argument("--out", help="output schedule file")
 
     m = sub.add_parser("mix", help="exact l2 mixing time of a schedule")
@@ -89,16 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify one named inequality")
     v.add_argument("inequality", choices=sorted(INEQUALITY_TO_SUITE))
     v.add_argument("--seeds", type=_positive_int,
-                   help=f"number of seeded instances ({_read_by('seeds')})")
+                   help=f"number of seeded instances ({_read_by(SUITES, 'seeds')})")
     v.add_argument("--out", help="output directory")
 
     cm = sub.add_parser("commute", help="commute-time bounds table for a static graph")
-    cm.add_argument("--graph", help="graph text file ('n m' then edge lines)")
-    cm.add_argument("--family", default="gnp_connected")
-    cm.add_argument("--n", type=int)
-    cm.add_argument("--p", type=float, default=0.5)
-    cm.add_argument("--rho", type=int)
-    cm.add_argument("--seed", type=int, default=0)
+    cm.add_argument("--graph", help="graph text file ('n m' then edge lines); "
+                    "takes no family flag")
+    cm.add_argument("--family", choices=list(graphs.FAMILIES),
+                    help=f"graph family (default {DEFAULT_COMMUTE_FAMILY})")
+    _add_flags(cm, graphs.FAMILIES)
     cm.add_argument("--s", type=int)
     cm.add_argument("--t", type=int)
     cm.add_argument("--out", help="output report file")
@@ -106,13 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("suite", help="run a named verification suite (or 'all')")
     st.add_argument("name", choices=sorted(SUITES) + ["all"])
     st.add_argument("--sizes", type=int, nargs="+",
-                    help=f"instance sizes ({_read_by('sizes')})")
+                    help=f"instance sizes ({_read_by(SUITES, 'sizes')})")
     st.add_argument("--seeds", type=_positive_int,
-                    help=f"number of seeded instances ({_read_by('seeds')})")
+                    help=f"number of seeded instances ({_read_by(SUITES, 'seeds')})")
     st.add_argument("--trials", type=_positive_int,
-                    help=f"Monte Carlo trials ({_read_by('trials')})")
+                    help=f"Monte Carlo trials ({_read_by(SUITES, 'trials')})")
     st.add_argument("--eps", type=_positive_float,
-                    help=f"hitting tolerance ({_read_by('eps')})")
+                    help=f"hitting tolerance ({_read_by(SUITES, 'eps')})")
     st.add_argument("--out", help="output directory")
     return ap
 
@@ -123,17 +154,8 @@ def _load_schedule_arg(args) -> schedule.GraphSchedule:
     return schedule.load_schedule(args.schedule)
 
 
-def _cmd_gen(args) -> int:
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    for key in ("d", "t", "c", "dim", "side", "rho"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    spec = constructions.ConstructionSpec(name=args.construction, params=params,
-                                          seed=args.seed)
-    s = constructions.build(spec)
+def _cmd_gen(args, kwargs) -> int:
+    s = constructions.BUILDERS[args.construction](**kwargs)
     out = args.out or f"{args.construction}.json"
     schedule.save_schedule(s, out)
     print(f"{out} hash={schedule.schedule_hash(s)} n={s.n} kind={s.kind}")
@@ -194,20 +216,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_commute(args) -> int:
+def _cmd_commute(args, kwargs) -> int:
+    seed = None
     if args.graph:
         g = graphs.read_graph_text(args.graph)
         gid = os.path.basename(args.graph)
     else:
-        if args.n is None:
-            raise SystemExit("--n is required without --graph")
-        params = {"n": args.n}
-        if args.family == "gnp_connected":
-            params["p"] = args.p
-        if args.family == "circulant":
-            params["rho"] = args.rho or 2
-        g = graphs.generate(args.family, seed=args.seed, **params)
-        gid = f"{args.family}-n{args.n}-seed{args.seed}"
+        g = graphs.FAMILIES[args.family](**kwargs)
+        params = inspect.signature(graphs.FAMILIES[args.family]).parameters
+        seed = kwargs.get("seed", params["seed"].default) if "seed" in params else None
+        gid = f"{args.family}-n{g.n}" + ("" if seed is None else f"-seed{seed}")
     pairs = ([(args.s, args.t)] if args.s is not None and args.t is not None
              else [(u, v) for u in range(g.n) for v in range(u + 1, g.n)])
     rows = []
@@ -222,7 +240,7 @@ def _cmd_commute(args) -> int:
             suite="cli-commute", inequality_id="cutsum-sandwich",
             instance=f"{gid} s={s} t={t}",
             lhs=max(nw.flow - exact, exact - bounds.flow), rhs=0.0,
-            tolerance=1e-9, provenance="DERIVED", n=g.n, seed=args.seed,
+            tolerance=1e-9, provenance="DERIVED", n=g.n, seed=seed,
             extra={"exact": exact, "nw_lower_flow": nw.flow,
                    "cutsum_flow": bounds.flow, "cutsum_2m": bounds.literal_2m,
                    "profile_bound": prof, "connectivity_bound": conn_bound,
@@ -255,19 +273,31 @@ def _cmd_suite(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "gen":
+        return _cmd_gen(args, _read_flags(
+            ap, args, f"gen {args.construction}", constructions.BUILDERS,
+            [args.construction], _offered(constructions.BUILDERS)))
+    if args.command == "commute":
+        if args.graph:
+            given = [f for f in ("family", *_offered(graphs.FAMILIES))
+                     if vars(args)[f] is not None]
+            if given:
+                ap.error(f"commute --graph: --{given[0]} is read only without --graph")
+            return _cmd_commute(args, {})
+        args.family = args.family or DEFAULT_COMMUTE_FAMILY
+        return _cmd_commute(args, _read_flags(
+            ap, args, f"commute {args.family}", graphs.FAMILIES, [args.family],
+            _offered(graphs.FAMILIES)))
     if args.command in ("suite", "verify"):
         if args.command == "verify":
             target, names = args.inequality, [INEQUALITY_TO_SUITE[args.inequality]]
         else:
             target = args.name
             names = sorted(SUITES) if target == "all" else [target]
-        for knob in KNOBS:
-            readers = suites_reading(knob)
-            if vars(args).get(knob) is not None and any(n not in readers for n in names):
-                ap.error(f"{args.command} {target}: --{knob} is read only by {', '.join(readers)}")
+        _read_flags(ap, args, f"{args.command} {target}", SUITES, names, KNOBS)
     handlers = {
-        "gen": _cmd_gen, "mix": _cmd_mix, "hit": _cmd_hit, "cover": _cmd_cover,
-        "verify": _cmd_verify, "commute": _cmd_commute, "suite": _cmd_suite,
+        "mix": _cmd_mix, "hit": _cmd_hit, "cover": _cmd_cover,
+        "verify": _cmd_verify, "suite": _cmd_suite,
     }
     return handlers[args.command](args)
 

@@ -8,10 +8,10 @@ construction from the schedule JSON alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chain import degree_stationary
 from .errors import GraphError
 from .graphs import (
     StaticGraph,
@@ -27,8 +27,6 @@ from .graphs import (
     torus_graph,
 )
 from .schedule import GraphSchedule
-
-DEFAULT_COMPLETE_PHASE_C = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,7 @@ GENERATOR_FAMILIES = {
 # builders
 # ---------------------------------------------------------------------------
 
-def build_expander_matching(n: int, seed: int) -> GraphSchedule:
+def build_expander_matching(n: int, seed: int = 0) -> GraphSchedule:
     """Odd steps: two disjoint 3-regular expanders on the halves (fresh per
     step from derived seeds); even steps: the half-to-half perfect matching.
     All steps are regular graphs, so the uniform distribution is stationary."""
@@ -179,7 +177,7 @@ def build_expander_matching(n: int, seed: int) -> GraphSchedule:
     )
 
 
-def build_random_regular_schedule(n: int, d: int, seed: int,
+def build_random_regular_schedule(n: int, d: int = 4, seed: int = 0,
                                   connected: bool = False) -> GraphSchedule:
     """A fresh random d-regular graph every step; uniform pi.
 
@@ -198,8 +196,7 @@ def build_random_regular_schedule(n: int, d: int, seed: int,
     )
 
 
-def build_complete_then_cycle(n: int, c: float = DEFAULT_COMPLETE_PHASE_C,
-                              seed: int = 0) -> GraphSchedule:
+def build_complete_then_cycle(n: int, c: float = 2.0) -> GraphSchedule:
     """Complete graph for ceil(c n ln n) steps, then a fixed cycle forever."""
     if n < 3 or c <= 0:
         raise GraphError("needs n >= 3 and c > 0")
@@ -214,7 +211,7 @@ def build_complete_then_cycle(n: int, c: float = DEFAULT_COMPLETE_PHASE_C,
     )
 
 
-def build_nomixing(n: int, t: int, seed: int) -> GraphSchedule:
+def build_nomixing(n: int, t: int, seed: int = 0) -> GraphSchedule:
     """Bounded-degree connected expander sequence whose t-step probabilities
     pile up mass on nested sets.  Deliberately violates the common-pi
     assumption; exempt from stationarity validation."""
@@ -237,7 +234,7 @@ def build_nomixing(n: int, t: int, seed: int) -> GraphSchedule:
     )
 
 
-def build_nohitting(n: int, seed: int = 0) -> GraphSchedule:
+def build_nohitting(n: int) -> GraphSchedule:
     """Bucketed bipartite schedule with the geometric stationary distribution;
     period 3n (forward pair blocks, a rest block, then the mirror image)."""
     period = _nohitting_period(n)
@@ -250,21 +247,22 @@ def build_nohitting(n: int, seed: int = 0) -> GraphSchedule:
     )
 
 
-def build_nohitting_doubled(n: int, seed: int = 0) -> GraphSchedule:
+def build_nohitting_doubled(n: int) -> GraphSchedule:
     """Two disjoint copies plus a V_k <-> V'_k matching step after every 3n+1
     combined steps (so consecutive matchings are 3n+2 apart)."""
     base_pi = nohitting_pi(n)
     pi = np.concatenate([base_pi, base_pi]) / 2.0
     return GraphSchedule(
         2 * n,
-        generator={"family": "nohitting_doubled", "params": {}, "seed": int(seed)},
+        # the steps draw nothing at random; seed 0 keeps the pinned schedule hashes
+        generator={"family": "nohitting_doubled", "params": {}, "seed": 0},
         pi=pi,
         name=f"nohitting-doubled-n{n}",
         meta={"base_n": n, "base_period": 3 * n, "matching_interval": 3 * n + 2},
     )
 
 
-def build_torus_schedule(dim: int, side: int, seed: int) -> GraphSchedule:
+def build_torus_schedule(dim: int, side: int, seed: int = 0) -> GraphSchedule:
     """Per-step uniformly random relabelings of one torus.
 
     Axis-wise cyclic shifts are torus automorphisms (they reproduce the same
@@ -292,35 +290,27 @@ def build_static(g: StaticGraph, pi=None, name: str = "static") -> GraphSchedule
     return GraphSchedule(g.n, cycle_runs=[(g, 1)], pi=pi, name=name)
 
 
-@dataclass
-class ConstructionSpec:
-    """Named construction plus parameters; `build` dispatches on the name."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
+def build_circulant(n: int, rho: int) -> GraphSchedule:
+    """The static circulant C_n(1..rho); uniform pi."""
+    return build_static(circulant_graph(n, rho), pi=np.full(n, 1.0 / n),
+                        name=f"circulant-n{n}-rho{rho}")
 
 
-def build(spec: ConstructionSpec) -> GraphSchedule:
-    name, p, seed = spec.name, spec.params, spec.seed
-    if name == "expander_matching":
-        return build_expander_matching(p["n"], seed)
-    if name == "random_regular":
-        return build_random_regular_schedule(p["n"], p.get("d", 4), seed)
-    if name == "complete_then_cycle":
-        return build_complete_then_cycle(p["n"], p.get("c", DEFAULT_COMPLETE_PHASE_C), seed)
-    if name == "nomixing":
-        return build_nomixing(p["n"], p["t"], seed)
-    if name == "nohitting":
-        return build_nohitting(p["n"], seed)
-    if name == "nohitting_doubled":
-        return build_nohitting_doubled(p["n"], seed)
-    if name == "torus_schedule":
-        return build_torus_schedule(p["dim"], p["side"], seed)
-    if name == "circulant":
-        g = circulant_graph(p["n"], p["rho"])
-        return build_static(g, pi=np.full(g.n, 1.0 / g.n), name=f"circulant-n{p['n']}-rho{p['rho']}")
-    if name == "barbell":
-        g = barbell_graph(p["n"])
-        return build_static(g, pi=g.degree / (2.0 * g.m), name=f"barbell-n{p['n']}")
-    raise GraphError(f"unknown construction {name!r}")
+def build_barbell(n: int) -> GraphSchedule:
+    """The static barbell graph; degree-proportional pi."""
+    g = barbell_graph(n)
+    return build_static(g, pi=degree_stationary(g).pi, name=f"barbell-n{n}")
+
+
+# `dynwalks gen <name>`: each builder's signature declares the flags it reads
+BUILDERS = {
+    "expander_matching": build_expander_matching,
+    "random_regular": build_random_regular_schedule,
+    "complete_then_cycle": build_complete_then_cycle,
+    "nomixing": build_nomixing,
+    "nohitting": build_nohitting,
+    "nohitting_doubled": build_nohitting_doubled,
+    "torus_schedule": build_torus_schedule,
+    "circulant": build_circulant,
+    "barbell": build_barbell,
+}

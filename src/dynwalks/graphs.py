@@ -248,7 +248,7 @@ def barbell_graph(n: int) -> StaticGraph:
     return StaticGraph(n, np.concatenate(e))
 
 
-def circulant_graph(n: int, rho: int) -> StaticGraph:
+def circulant_graph(n: int, rho: int = 2) -> StaticGraph:
     """Edges (i, i+u mod n) for 1 <= u <= rho; 2*rho-regular."""
     if rho < 1 or 2 * rho >= n:
         raise GraphError("circulant needs 1 <= rho < n/2")
@@ -293,7 +293,7 @@ def random_regular_graph(n: int, d: int, seed) -> StaticGraph:
     raise GenerationError(f"pairing model failed after {REGULAR_RETRY_CAP} attempts")
 
 
-def gnp_connected_graph(n: int, p: float, seed) -> StaticGraph:
+def gnp_connected_graph(n: int, p: float = 0.5, seed=0) -> StaticGraph:
     """Erdos-Renyi graph resampled until connected."""
     if n < 2 or not 0 < p <= 1:
         raise GraphError("need n >= 2 and 0 < p <= 1")
@@ -309,7 +309,7 @@ def gnp_connected_graph(n: int, p: float, seed) -> StaticGraph:
 
 def expander_graph(
     n: int,
-    seed,
+    seed=0,
     degree: int = 3,
     gap_min: float | None = None,
     forbidden_edges=None,
@@ -367,27 +367,17 @@ def _lazy_gap_regular(g: StaticGraph) -> float:
     return float(1.0 - np.sort(w)[0])
 
 
+# `dynwalks commute --family <name>`: each signature declares the flags it reads
 FAMILIES = {
-    "cycle": lambda params, seed: cycle_graph(params["n"]),
-    "path": lambda params, seed: path_graph(params["n"]),
-    "complete": lambda params, seed: complete_graph(params["n"]),
-    "torus": lambda params, seed: torus_graph(params["dims"]),
-    "barbell": lambda params, seed: barbell_graph(params["n"]),
-    "circulant": lambda params, seed: circulant_graph(params["n"], params["rho"]),
-    "complete_prism": lambda params, seed: complete_prism_graph(params["n"]),
-    "random_regular": lambda params, seed: random_regular_graph(params["n"], params["d"], seed),
-    "gnp_connected": lambda params, seed: gnp_connected_graph(params["n"], params["p"], seed),
-    "expander3": lambda params, seed: expander_graph(
-        params["n"], seed, gap_min=params.get("gap_min", DEFAULT_EXPANDER_GAP)
-    ),
+    "cycle": cycle_graph,
+    "path": path_graph,
+    "complete": complete_graph,
+    "barbell": barbell_graph,
+    "circulant": circulant_graph,
+    "complete_prism": complete_prism_graph,
+    "gnp_connected": gnp_connected_graph,
+    "expander3": expander_graph,
 }
-
-
-def generate(family: str, seed=None, **params) -> StaticGraph:
-    """Build a graph of a named family; randomized families are seed-deterministic."""
-    if family not in FAMILIES:
-        raise GraphError(f"unknown graph family {family!r}")
-    return FAMILIES[family](params, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ byte-identical CSV body.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -83,13 +84,6 @@ def _is_int(x) -> bool:
 
 def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _only(suite: str, knob: str, values):
-    """The one entry of a knob that a suite reads a single value of."""
-    if len(values) != 1:
-        raise GraphError(f"{suite} reads a single entry of {knob}; got {list(values)}")
-    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -459,41 +453,40 @@ def suite_counterexamples(*, sizes=(8, 12, 16), eps=1e-9) -> list[BoundReport]:
 # ---------------------------------------------------------------------------
 
 def suite_nomixing(*, sizes=(1000,), steps=None, seeds=(7,)) -> list[BoundReport]:
-    """``steps`` None runs 3 ceil(log10 n) steps."""
-    n = _only("nomixing", "sizes", sizes)
-    seed = _only("nomixing", "seeds", seeds)
-    t = steps if steps is not None else 3 * math.ceil(math.log10(n))
-    s = constructions.build_nomixing(n, t, seed=seed)
-    h = schedule.schedule_hash(s)
-    sizes = s.meta["set_sizes"]
-    start = s.meta["active_start"]
-    active = s.meta["active_steps"]
-    trace = walks.evolve_trace(s, np.full(n, 1.0 / n), t)
+    """One schedule per (size, seed); ``steps`` None runs 3 ceil(log10 n) steps."""
     out = []
-    for i in range(1, active + 1):
-        need = (10.0 / 8.0) ** i / n
-        got = float(trace[start + i][:sizes[i]].min())
+    for n, seed in itertools.product(sizes, seeds):
+        t = steps if steps is not None else 3 * math.ceil(math.log10(n))
+        s = constructions.build_nomixing(n, t, seed=seed)
+        h = schedule.schedule_hash(s)
+        set_sizes = s.meta["set_sizes"]
+        start = s.meta["active_start"]
+        active = s.meta["active_steps"]
+        trace = walks.evolve_trace(s, np.full(n, 1.0 / n), t)
+        for i in range(1, active + 1):
+            need = (10.0 / 8.0) ** i / n
+            got = float(trace[start + i][:set_sizes[i]].min())
+            out.append(BoundReport(
+                suite="nomixing", inequality_id="nomixing-growth",
+                instance=f"active step {i}, |S_i|={set_sizes[i]}", lhs=need, rhs=got,
+                tolerance=1e-15, provenance="PAPER", n=n, schedule_hash=h))
+        p_max = float(trace[t].max())
+        c = math.log(p_max * n) / math.log(n)
         out.append(BoundReport(
-            suite="nomixing", inequality_id="nomixing-growth",
-            instance=f"active step {i}, |S_i|={sizes[i]}", lhs=need, rhs=got,
-            tolerance=1e-15, provenance="PAPER", n=n, schedule_hash=h))
-    p_max = float(trace[t].max())
-    c = math.log(p_max * n) / math.log(n)
-    out.append(BoundReport(
-        suite="nomixing", inequality_id="nomixing-final-mass",
-        instance=f"max_u p^({t})(u) vs 1/n", lhs=1.0 / n, rhs=p_max,
-        tolerance=0.0, provenance="PAPER", n=n, schedule_hash=h,
-        extra={"measured_c": c}))
-    max_deg = max(int(s.step(tt).degree.max()) for tt in range(1, t + 1))
-    out.append(BoundReport(
-        suite="nomixing", inequality_id="nomixing-degree",
-        instance=f"max degree over {t} steps", lhs=float(max_deg), rhs=9.0,
-        tolerance=0.0, provenance="TRIVIAL", n=n, schedule_hash=h))
-    bad = sum(not graphs.is_connected(s.step(tt)) for tt in range(1, t + 1))
-    out.append(BoundReport(
-        suite="nomixing", inequality_id="nomixing-connected",
-        instance="disconnected steps", lhs=float(bad), rhs=0.0,
-        tolerance=0.0, provenance="TRIVIAL", n=n, schedule_hash=h))
+            suite="nomixing", inequality_id="nomixing-final-mass",
+            instance=f"max_u p^({t})(u) vs 1/n", lhs=1.0 / n, rhs=p_max,
+            tolerance=0.0, provenance="PAPER", n=n, schedule_hash=h,
+            extra={"measured_c": c}))
+        max_deg = max(int(s.step(tt).degree.max()) for tt in range(1, t + 1))
+        out.append(BoundReport(
+            suite="nomixing", inequality_id="nomixing-degree",
+            instance=f"max degree over {t} steps", lhs=float(max_deg), rhs=9.0,
+            tolerance=0.0, provenance="TRIVIAL", n=n, schedule_hash=h))
+        bad = sum(not graphs.is_connected(s.step(tt)) for tt in range(1, t + 1))
+        out.append(BoundReport(
+            suite="nomixing", inequality_id="nomixing-connected",
+            instance="disconnected steps", lhs=float(bad), rhs=0.0,
+            tolerance=0.0, provenance="TRIVIAL", n=n, schedule_hash=h))
     return out
 
 
@@ -640,27 +633,28 @@ def suite_circulant(*, sizes=(32, 64, 128)) -> list[BoundReport]:
 # ---------------------------------------------------------------------------
 
 def suite_cover_hit(*, sizes=(128,), trials=200, horizon=400_000) -> list[BoundReport]:
-    n = _only("cover-hit-gap", "sizes", sizes)
-    s = constructions.build_complete_then_cycle(n, seed=0)
-    h = schedule.schedule_hash(s)
-    hit = walks.monte_carlo(s, 0, seed=1401, trials=trials, stop=("hit", n // 2),
-                            horizon=horizon)
-    cov = walks.monte_carlo(s, 0, seed=1402, trials=trials, stop=("cover",),
-                            horizon=horizon)
-    out = [
-        BoundReport(
-            suite="cover-hit-gap", inequality_id="coverhit-ratio",
-            instance=f"n={n} trials={trials}", lhs=n / 10.0,
-            rhs=cov.mean / hit.mean, tolerance=0.0, provenance="DERIVED",
-            n=n, seed=1401, schedule_hash=h,
-            extra={"hit_mean": hit.mean, "hit_stderr": hit.stderr,
-                   "cover_mean": cov.mean, "cover_stderr": cov.stderr}),
-        BoundReport(
-            suite="cover-hit-gap", inequality_id="coverhit-censored",
-            instance=f"n={n} trials={trials}",
-            lhs=float(hit.n_censored + cov.n_censored), rhs=0.0, tolerance=0.0,
-            provenance="TRIVIAL", n=n, seed=1402, schedule_hash=h),
-    ]
+    out = []
+    for n in sizes:
+        s = constructions.build_complete_then_cycle(n)
+        h = schedule.schedule_hash(s)
+        hit = walks.monte_carlo(s, 0, seed=1401, trials=trials, stop=("hit", n // 2),
+                                horizon=horizon)
+        cov = walks.monte_carlo(s, 0, seed=1402, trials=trials, stop=("cover",),
+                                horizon=horizon)
+        out += [
+            BoundReport(
+                suite="cover-hit-gap", inequality_id="coverhit-ratio",
+                instance=f"n={n} trials={trials}", lhs=n / 10.0,
+                rhs=cov.mean / hit.mean, tolerance=0.0, provenance="DERIVED",
+                n=n, seed=1401, schedule_hash=h,
+                extra={"hit_mean": hit.mean, "hit_stderr": hit.stderr,
+                       "cover_mean": cov.mean, "cover_stderr": cov.stderr}),
+            BoundReport(
+                suite="cover-hit-gap", inequality_id="coverhit-censored",
+                instance=f"n={n} trials={trials}",
+                lhs=float(hit.n_censored + cov.n_censored), rhs=0.0, tolerance=0.0,
+                provenance="TRIVIAL", n=n, seed=1402, schedule_hash=h),
+        ]
     return out
 
 
@@ -693,14 +687,12 @@ INEQUALITY_TO_SUITE = {
     "eq-interesting": "eq-interesting",
 }
 
-def suite_knobs(name: str):
-    """The knobs suite ``name`` reads: the parameters its signature names."""
-    return inspect.signature(SUITES[name]).parameters
-
-
-def suites_reading(knob: str) -> tuple[str, ...]:
-    """The suites that read ``knob``, in registry order."""
-    return tuple(name for name in SUITES if knob in suite_knobs(name))
+def readers(registry: dict, knob: str) -> tuple[str, ...]:
+    """The names in ``registry`` whose function's signature names ``knob``,
+    in registry order: the suites that read a knob, and likewise the
+    ``gen`` builders and ``commute`` graph families that read a flag."""
+    return tuple(name for name, fn in registry.items()
+                 if knob in inspect.signature(fn).parameters)
 
 
 def run_suite(cfg: ExperimentConfig, out_path=None):
@@ -715,9 +707,9 @@ def run_suite(cfg: ExperimentConfig, out_path=None):
         raise GraphError(f"unknown suite {cfg.suite!r}; known: {sorted(SUITES)}")
     knobs = {k: getattr(cfg, k) for k in KNOBS if getattr(cfg, k) is not None}
     for knob in knobs:
-        if knob not in suite_knobs(cfg.suite):
+        if knob not in inspect.signature(SUITES[cfg.suite]).parameters:
             raise GraphError(f"suite {cfg.suite}: {knob} is read only by "
-                             f"{', '.join(suites_reading(knob))}")
+                             f"{', '.join(readers(SUITES, knob))}")
     if out_path is None:
         out_dir = cfg.out or default_out_dir()
         out_path = f"{out_dir}/{cfg.suite}.csv"

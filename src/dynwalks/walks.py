@@ -13,7 +13,7 @@ import numpy as np
 
 from . import chain
 from .errors import GraphError, TruncationError
-from .schedule import GraphSchedule
+from .schedule import GraphSchedule, window_average
 
 NEGATIVE_DUST = 1e-14
 DECAY_TOL = 1e-10
@@ -336,8 +336,6 @@ def window_average_decay_check(s: GraphSchedule, t1: int, w: int, p0, pi,
     normalized form E_Pbar(rho, rho) >= gap * Var_pi(rho), the shape the
     variational definition of the gap actually guarantees.
     """
-    from .schedule import window_average
-
     pi = chain._pi_array(pi)
     trace = evolve_trace(s, p0, t1 + w)
     rho_start = trace[t1] / pi

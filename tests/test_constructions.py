@@ -42,7 +42,7 @@ def test_expander_matching_window_gap_and_mixing():
 
 
 def test_complete_then_cycle_phases():
-    s = constructions.build_complete_then_cycle(12, seed=0)
+    s = constructions.build_complete_then_cycle(12)
     T = s.meta["complete_phase"]
     assert T == int(np.ceil(2.0 * 12 * np.log(12)))
     assert s.step(1) == graphs.complete_graph(12)
@@ -153,21 +153,15 @@ def test_torus_schedule_relabeling_invariants():
 
 
 def test_build_dispatch_and_export(tmp_path):
-    spec = constructions.ConstructionSpec(
-        name="torus_schedule", params={"dim": 2, "side": 4}, seed=2)
-    s = constructions.build(spec)
+    s = constructions.BUILDERS["torus_schedule"](dim=2, side=4, seed=2)
     path = tmp_path / "t.json"
     schedule.save_schedule(s, path)
     loaded = schedule.load_schedule(path)
     assert loaded.step(3) == s.step(3)
     assert np.array_equal(loaded.pi, s.pi)
 
-    circ = constructions.build(constructions.ConstructionSpec(
-        name="circulant", params={"n": 12, "rho": 2}))
+    circ = constructions.BUILDERS["circulant"](n=12, rho=2)
     assert circ.step(1) == graphs.circulant_graph(12, 2)
-    barb = constructions.build(constructions.ConstructionSpec(
-        name="barbell", params={"n": 9}))
+    barb = constructions.BUILDERS["barbell"](n=9)
     assert chain.detailed_balance_residual(
         chain.lazy_matrix(barb.step(1)), barb.pi) < 1e-12
-    with pytest.raises(GraphError):
-        constructions.build(constructions.ConstructionSpec(name="nope"))

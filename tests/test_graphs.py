@@ -133,18 +133,16 @@ def test_edge_connectivity_matches_brute_force_on_random_graphs():
 
 
 def test_generate_families():
-    c = graphs.generate("cycle", n=4)
+    c = graphs.FAMILIES["cycle"](n=4)
     assert c.m == 4 and set(c.degree) == {2}
-    t = graphs.generate("torus", dims=[4, 4])
+    t = graphs.torus_graph([4, 4])
     assert t.m == 32 and set(t.degree) == {4}
-    b = graphs.generate("barbell", n=9)
+    b = graphs.FAMILIES["barbell"](n=9)
     assert b.n == 9 and graphs.is_connected(b)
     # two K3 blocks plus the connecting path
     assert {(0, 1), (0, 2), (1, 2), (6, 7), (6, 8), (7, 8)} <= b.edge_set()
-    prism = graphs.generate("complete_prism", n=8)
+    prism = graphs.FAMILIES["complete_prism"](n=8)
     assert set(prism.degree) == {4}
-    with pytest.raises(GraphError):
-        graphs.generate("no-such-family", n=3)
 
 
 def test_torus_side_two_rejected():

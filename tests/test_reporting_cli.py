@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from dynwalks import cli, graphs, reporting, schedule
+from dynwalks import cli, constructions, graphs, reporting, schedule
 from dynwalks.errors import GraphError
 from dynwalks.reporting import BoundReport, csv_body, loglog_slope
 from dynwalks.suites import KNOBS, SUITES, ExperimentConfig, run_suite
@@ -135,8 +135,7 @@ def test_suite_registry_covers_all_criteria():
 
 def test_cli_gen_mix_hit_cover(tmp_path):
     sched = tmp_path / "cycle.json"
-    rc = cli.main(["gen", "complete_then_cycle", "--n", "12", "--seed", "0",
-                   "--out", str(sched)])
+    rc = cli.main(["gen", "complete_then_cycle", "--n", "12", "--out", str(sched)])
     assert rc == 0 and sched.exists()
     loaded = schedule.load_schedule(sched)
     assert loaded.n == 12
@@ -327,15 +326,27 @@ def test_cli_rejects_zero_and_empty_overrides(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("name, kw", [
-    ("nomixing", {"sizes": [200, 500]}),
-    ("nomixing", {"seeds": [1, 2]}),
-    ("cover-hit-gap", {"sizes": [16, 32]}),
     ("torus-scaling", {"sizes": [7]}),
     ("torus-scaling", {"sizes": [4, 9]}),
 ])
 def test_suites_reject_entries_they_would_ignore(tmp_path, name, kw):
     with pytest.raises(GraphError):
         run_suite(ExperimentConfig(suite=name, out=str(tmp_path), **kw))
+
+
+@pytest.mark.parametrize("name, knob, kw", [
+    ("nomixing", "sizes", {"sizes": [200, 500]}),
+    ("nomixing", "seeds", {"sizes": [200], "seeds": [1, 2]}),
+    ("cover-hit-gap", "sizes", {"sizes": [16, 32], "trials": 5}),
+])
+def test_suites_give_each_entry_its_own_rows(tmp_path, name, knob, kw):
+    def rows(sub, **over):
+        cfg = ExperimentConfig(suite=name, out=str(tmp_path / sub), **{**kw, **over})
+        return csv_body(run_suite(cfg)[1]).splitlines()
+
+    both = rows("both")
+    first, second = (rows(f"e{v}", **{knob: [v]}) for v in kw[knob])
+    assert both == first + second[1:]
 
 
 def test_default_out_dir_env(tmp_path, monkeypatch):
@@ -345,3 +356,164 @@ def test_default_out_dir_env(tmp_path, monkeypatch):
     _, path, _ = run_suite(cfg)
     assert str(tmp_path / "envout") in path
     assert os.path.exists(path)
+
+
+# the flags each `gen` construction reads; every other (construction, flag)
+# pair must exit with status 2 before writing
+GEN_READS = {
+    "expander_matching": {"n", "seed"},
+    "random_regular": {"n", "d", "seed"},
+    "complete_then_cycle": {"n", "c"},
+    "nomixing": {"n", "t", "seed"},
+    "nohitting": {"n"},
+    "nohitting_doubled": {"n"},
+    "torus_schedule": {"dim", "side", "seed"},
+    "circulant": {"n", "rho"},
+    "barbell": {"n"},
+}
+# the required flags of each construction, set to values other than GEN_VALUES
+GEN_BASE = {
+    "expander_matching": ["--n", "8"], "random_regular": ["--n", "8"],
+    "complete_then_cycle": ["--n", "12"], "nomixing": ["--n", "200", "--t", "3"],
+    "nohitting": ["--n", "8"], "nohitting_doubled": ["--n", "8"],
+    "torus_schedule": ["--dim", "2", "--side", "4"], "circulant": ["--n", "12", "--rho", "2"],
+    "barbell": ["--n", "9"],
+}
+GEN_VALUES = {"n": "24", "d": "3", "t": "4", "c": "3.0", "dim": "3", "side": "5",
+              "rho": "3", "seed": "3"}
+
+
+def _flags_of(argv, other):
+    """The flags a verb's parser offers besides ``other``."""
+    return set(vars(cli.build_parser().parse_args(argv))) - {"command", "out", *other}
+
+
+def _with_flag(argv, flag, value):
+    argv = list(argv)
+    if f"--{flag}" in argv:
+        argv[argv.index(f"--{flag}") + 1] = value
+    else:
+        argv += [f"--{flag}", value]
+    return argv
+
+
+def test_gen_read_table_counts():
+    assert set(GEN_READS) == set(GEN_BASE) == set(constructions.BUILDERS)
+    assert set(GEN_VALUES) == _flags_of(["gen", "nohitting"], {"construction"})
+    assert len(GEN_READS) * len(GEN_VALUES) == 72
+    assert sum(len(flags) for flags in GEN_READS.values()) == 18
+
+
+@pytest.mark.parametrize("flag", sorted(GEN_VALUES))
+@pytest.mark.parametrize("name", sorted(GEN_READS))
+def test_gen_accepts_exactly_the_flags_its_builder_reads(tmp_path, capsys, name, flag):
+    argv = ["gen", name, *_with_flag(GEN_BASE[name], flag, GEN_VALUES[flag])]
+    out = tmp_path / "flag.json"
+    if flag in GEN_READS[name]:
+        base = tmp_path / "base.json"
+        assert cli.main(["gen", name, *GEN_BASE[name], "--out", str(base)]) == 0
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() != base.read_bytes()  # the flag has an effect
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"gen {name}: --{flag} is read only by" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "random_regular"],
+    ["gen", "nomixing", "--n", "200"],
+    ["gen", "torus_schedule", "--dim", "2"],
+    ["gen", "circulant", "--n", "12"],
+    ["commute"],
+    ["commute", "--family", "cycle"],
+])
+def test_missing_required_flag_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "needs --" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, n, digest", [
+    ("nohitting_doubled", "8", "bc95f0cef58f8b6b"),
+    ("nohitting", "16", "6515e9c31f568bae"),
+])
+def test_gen_schedule_hashes_are_pinned(tmp_path, capsys, name, n, digest):
+    assert cli.main(["gen", name, "--n", n, "--out", str(tmp_path / "s.json")]) == 0
+    assert f"hash={digest} " in capsys.readouterr().out
+
+
+COMMUTE_READS = {
+    "cycle": {"n"}, "path": {"n"}, "complete": {"n"}, "barbell": {"n"},
+    "circulant": {"n", "rho"}, "complete_prism": {"n"},
+    "gnp_connected": {"n", "p", "seed"}, "expander3": {"n", "seed"},
+}
+COMMUTE_VALUES = {"n": "12", "p": "0.3", "rho": "3", "seed": "5"}
+
+
+def test_commute_read_table_counts():
+    assert set(COMMUTE_READS) == set(graphs.FAMILIES)
+    assert set(COMMUTE_VALUES) == _flags_of(["commute"], {"graph", "family", "s", "t"})
+    assert sum(len(flags) for flags in COMMUTE_READS.values()) == 12
+
+
+@pytest.mark.parametrize("flag", sorted(COMMUTE_VALUES))
+@pytest.mark.parametrize("family", sorted(COMMUTE_READS))
+def test_commute_accepts_exactly_the_flags_its_family_reads(tmp_path, capsys, family, flag):
+    out = tmp_path / "c.csv"
+    argv = ["commute", "--family", family,
+            *_with_flag(["--n", "12"], flag, COMMUTE_VALUES[flag]),
+            "--s", "0", "--t", "1", "--out", str(out)]
+    if flag in COMMUTE_READS[family]:
+        assert cli.main(argv) == 0
+        [row] = reporting.read_report_rows(out)
+        # a seed is recorded only where the family draws one (default 0)
+        seed = (COMMUTE_VALUES["seed"] if flag == "seed" else "0") \
+            if "seed" in COMMUTE_READS[family] else ""
+        assert row["seed"] == seed
+        assert row["instance"] == f"{family}-n12{f'-seed{seed}' if seed else ''} s=0 t=1"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"commute {family}: --{flag} is read only by" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "cycle"], ["--n", "6"], ["--p", "0.5"], ["--rho", "2"], ["--seed", "0"],
+])
+def test_commute_rejects_family_flags_beside_graph(tmp_path, capsys, argv):
+    gpath = tmp_path / "g.txt"
+    graphs.write_graph_text(graphs.cycle_graph(5), gpath)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["commute", "--graph", str(gpath), *argv,
+                  "--out", str(tmp_path / "c.csv")])
+    assert exc.value.code == 2
+    assert f"{argv[0]} is read only without --graph" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+# torus and random_regular graphs need --dims / --d, which commute does not have
+@pytest.mark.parametrize("argv", [
+    ["gen", "nope", "--n", "8"],
+    ["commute", "--family", "torus", "--n", "8"],
+    ["commute", "--family", "random_regular", "--n", "8"],
+])
+def test_unknown_construction_or_family_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_commute_expander3_uses_the_size_aware_gap(tmp_path):
+    out = tmp_path / "c.csv"
+    assert cli.main(["commute", "--family", "expander3", "--n", "128", "--s", "0",
+                     "--t", "3", "--out", str(out)]) == 0
+    [row] = reporting.read_report_rows(out)
+    assert row["passed"] == "1"

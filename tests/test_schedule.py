@@ -174,7 +174,7 @@ def test_schedule_json_round_trip_generator(tmp_path):
 
 
 def test_schedule_json_prefix_runs(tmp_path):
-    s = constructions.build_complete_then_cycle(12, seed=0)
+    s = constructions.build_complete_then_cycle(12)
     path = tmp_path / "ctc.json"
     schedule.save_schedule(s, path)
     loaded = schedule.load_schedule(path)
