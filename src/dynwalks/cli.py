@@ -14,6 +14,7 @@ import sys
 
 from . import commute as commute_mod
 from . import constructions, graphs, schedule, walks
+from .errors import GraphError
 from .reporting import (
     BoundReport,
     default_out_dir,
@@ -88,6 +89,14 @@ def _read_flags(ap, args, target: str, registry: dict, names, flags) -> dict:
     return kwargs
 
 
+def _build(ap, target: str, fn, kwargs: dict):
+    """``fn(**kwargs)``; a value the builder rejects exits with status 2."""
+    try:
+        return fn(**kwargs)
+    except GraphError as err:
+        ap.error(f"{target}: {err}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dynwalks")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -154,8 +163,7 @@ def _load_schedule_arg(args) -> schedule.GraphSchedule:
     return schedule.load_schedule(args.schedule)
 
 
-def _cmd_gen(args, kwargs) -> int:
-    s = constructions.BUILDERS[args.construction](**kwargs)
+def _cmd_gen(args, s: schedule.GraphSchedule) -> int:
     out = args.out or f"{args.construction}.json"
     schedule.save_schedule(s, out)
     print(f"{out} hash={schedule.schedule_hash(s)} n={s.n} kind={s.kind}")
@@ -216,17 +224,15 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_commute(args, kwargs) -> int:
+def _cmd_commute(args, g: graphs.StaticGraph, kwargs) -> int:
     seed = None
     if args.graph:
-        g = graphs.read_graph_text(args.graph)
         gid = os.path.basename(args.graph)
     else:
-        g = graphs.FAMILIES[args.family](**kwargs)
         params = inspect.signature(graphs.FAMILIES[args.family]).parameters
         seed = kwargs.get("seed", params["seed"].default) if "seed" in params else None
         gid = f"{args.family}-n{g.n}" + ("" if seed is None else f"-seed{seed}")
-    pairs = ([(args.s, args.t)] if args.s is not None and args.t is not None
+    pairs = ([(args.s, args.t)] if args.s is not None
              else [(u, v) for u in range(g.n) for v in range(u + 1, g.n)])
     rows = []
     conn_bound = commute_mod.connectivity_bound(g)
@@ -274,20 +280,30 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.command == "gen":
-        return _cmd_gen(args, _read_flags(
-            ap, args, f"gen {args.construction}", constructions.BUILDERS,
-            [args.construction], _offered(constructions.BUILDERS)))
+        target = f"gen {args.construction}"
+        kwargs = _read_flags(ap, args, target, constructions.BUILDERS,
+                             [args.construction], _offered(constructions.BUILDERS))
+        return _cmd_gen(args, _build(ap, target, constructions.BUILDERS[args.construction],
+                                     kwargs))
     if args.command == "commute":
+        if (args.s is None) != (args.t is None):
+            ap.error("commute: --s and --t name one pair; give both or neither")
         if args.graph:
             given = [f for f in ("family", *_offered(graphs.FAMILIES))
                      if vars(args)[f] is not None]
             if given:
                 ap.error(f"commute --graph: --{given[0]} is read only without --graph")
-            return _cmd_commute(args, {})
-        args.family = args.family or DEFAULT_COMMUTE_FAMILY
-        return _cmd_commute(args, _read_flags(
-            ap, args, f"commute {args.family}", graphs.FAMILIES, [args.family],
-            _offered(graphs.FAMILIES)))
+            g, kwargs = graphs.read_graph_text(args.graph), {}
+        else:
+            args.family = args.family or DEFAULT_COMMUTE_FAMILY
+            target = f"commute {args.family}"
+            kwargs = _read_flags(ap, args, target, graphs.FAMILIES, [args.family],
+                                 _offered(graphs.FAMILIES))
+            g = _build(ap, target, graphs.FAMILIES[args.family], kwargs)
+        if args.s is not None and not (0 <= args.s < g.n and 0 <= args.t < g.n
+                                       and args.s != args.t):
+            ap.error(f"commute: --s and --t must be two distinct vertices below {g.n}")
+        return _cmd_commute(args, g, kwargs)
     if args.command in ("suite", "verify"):
         if args.command == "verify":
             target, names = args.inequality, [INEQUALITY_TO_SUITE[args.inequality]]

@@ -177,74 +177,164 @@ def exact_hitting_batch(s: GraphSchedule, queries, t_max: int | None = None,
 # Monte Carlo trajectories
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1024
+_BLOCK = 1024   # a trial draws its coins for a block of steps, then its picks
+_WINDOW = 64    # steps of draws the lockstep loop holds per live trial
+_ALONE = 8      # at most this many live trials finish one at a time
 
 
-def _run_trial(s: GraphSchedule, start: int, rng: np.random.Generator,
-               stop_kind: str, target_mask, horizon: int) -> tuple[int, bool]:
-    """One trajectory; returns (stop time, censored)."""
-    x = int(start)
-    n = s.n
-    if stop_kind == "hit" and target_mask[x]:
-        return 0, False
-    visited = None
-    remaining = 0
-    if stop_kind == "cover":
-        visited = np.zeros(n, dtype=bool)
-        visited[x] = True
-        remaining = n - 1
-        if remaining == 0:
-            return 0, False
-    t = 0
+def _block(t: int, horizon: int) -> tuple[int, int]:
+    """(steps of the current block already taken, its length) at time t.
+
+    Blocks start at multiples of _BLOCK; the last one ends at the horizon.
+    """
+    done = t % _BLOCK
+    return done, min(_BLOCK, horizon - t + done)
+
+
+def _walk_alone(s: GraphSchedule, x: int, rng: np.random.Generator, t: int, horizon: int,
+                kind: str, target_mask, unseen) -> tuple[int, bool]:
+    """One trial from time t on, one step at a time; returns (stop time, censored).
+
+    ``rng`` stands at the coin of step t + 1, possibly inside a block;
+    ``unseen`` marks the vertices a cover trial has yet to visit.
+    """
+    remaining = 0 if unseen is None else int(unseen.sum())
     while t < horizon:
-        count = min(_BLOCK, horizon - t)
-        coins = rng.random(count)
-        picks = rng.random(count)
-        for i in range(count):
+        done, count = _block(t, horizon)
+        coins = rng.random(count - done)
+        rng.bit_generator.advance(done)  # the picks of the block's steps already taken
+        picks = rng.random(count - done)
+        for coin, pick in zip(coins.tolist(), picks.tolist()):
             t += 1
-            if coins[i] >= 0.5:
+            if coin >= 0.5:
                 g = s.step(t)
                 lo, hi = g.adj_indptr[x], g.adj_indptr[x + 1]
-                deg = hi - lo
-                if deg > 0:
-                    x = int(g.adj_indices[lo + int(picks[i] * deg)])
-            if stop_kind == "hit":
+                if hi > lo:
+                    x = int(g.adj_indices[lo + int(pick * (hi - lo))])
+            if kind == "hit":
                 if target_mask[x]:
                     return t, False
-            elif stop_kind == "cover":
-                if not visited[x]:
-                    visited[x] = True
-                    remaining -= 1
-                    if remaining == 0:
-                        return t, False
-    return horizon, stop_kind != "horizon"
+            elif kind == "cover" and unseen[x]:
+                unseen[x] = False
+                remaining -= 1
+                if remaining == 0:
+                    return t, False
+    return horizon, kind != "horizon"
 
 
 def monte_carlo(s: GraphSchedule, start: int, seed: int, trials: int, stop,
                 horizon: int = 1_000_000) -> MonteCarloSummary:
-    """Seeded trajectory sampling.
+    """Seeded trajectory sampling; censored trials are flagged, never dropped.
 
-    ``stop`` is ("hit", target), ("cover",) or ("horizon",).  Per-trial
-    generators come from SeedSequence(seed).spawn, so any execution order
-    yields the same statistics; censored trials are flagged, never dropped.
+    ``stop`` is ("hit", target), ("cover",) or ("horizon",).  The stream
+    contract, which fixes every stop time:
+
+    - trial j draws from its own generator, ``SeedSequence(seed).spawn(trials)[j]``;
+    - it draws in blocks of steps: 1,024 coins (fewer in the last block
+      before the horizon), then as many picks.  At step t it moves when its
+      coin is >= 0.5, to neighbour ``floor(pick * deg)`` of its vertex in
+      g_t; a vertex with no neighbours keeps the walk in place;
+    - all live trials share g_t and move together, one vectorized step per t;
+      a finished trial leaves the live set, and the last few live trials
+      finish one at a time;
+    - so a trial's result does not depend on how many others run, or on how.
     """
     if trials < 1:
         raise GraphError("need at least one trial")
     kind = stop[0]
     if kind not in ("hit", "cover", "horizon"):
         raise GraphError(f"unknown stop rule {kind!r}")
-    target_mask = _target_mask(s.n, stop[1]) if kind == "hit" else None
+    n = s.n
+    start = int(start)
+    if not 0 <= start < n:
+        raise GraphError("start vertex out of range")
+    target_mask = _target_mask(n, stop[1]) if kind == "hit" else None
     children = np.random.SeedSequence(seed).spawn(trials)
     times = np.zeros(trials, dtype=np.int64)
     censored = np.zeros(trials, dtype=bool)
-    for j in range(trials):
-        times[j], censored[j] = _run_trial(s, start, np.random.default_rng(children[j]),
-                                           kind, target_mask, horizon)
+    if not ((kind == "hit" and target_mask[start]) or (kind == "cover" and n == 1)):
+        _lockstep(s, start, [np.random.default_rng(c) for c in children], horizon,
+                  kind, target_mask, times, censored)
     good = times[~censored]
     mean = float(good.mean()) if good.size else float("nan")
     stderr = float(good.std(ddof=1) / np.sqrt(good.size)) if good.size > 1 else float("nan")
     return MonteCarloSummary(times=times, censored=censored, mean=mean, stderr=stderr,
                              trials=trials, n_censored=int(censored.sum()), seed=seed)
+
+
+def _lockstep(s: GraphSchedule, start: int, rngs: list, horizon: int, kind: str,
+              target_mask, times: np.ndarray, censored: np.ndarray) -> None:
+    """Move all trials from ``start`` together; fills ``times`` and ``censored``.
+
+    Each window of up to _WINDOW steps draws, per live trial, its coins and
+    its picks for those steps out of the current block: ``advance`` skips to
+    the picks and back again, so the stream is read exactly as block draws
+    would read it.  Trials that stop inside a window leave the live arrays
+    at its end.
+    """
+    n = s.n
+    ids = np.arange(len(rngs))  # live trials
+    x = np.full(ids.size, start, dtype=np.int64)
+    if kind == "cover":
+        unseen = np.ones(ids.size * n, dtype=bool)  # row j: what trial j has not seen
+        unseen[ids * n + start] = False
+        remaining = np.full(ids.size, n - 1)
+    draws = np.empty((ids.size, _WINDOW))  # one window of coins, then of picks
+    t = 0
+    while ids.size > _ALONE and t < horizon:
+        done, count = _block(t, horizon)
+        w = min(_WINDOW, count - done)
+        live_rngs = [rngs[j] for j in ids.tolist()]
+        for k, rng in enumerate(live_rngs):
+            rng.random(out=draws[k, :w])
+        moves = (draws[:ids.size, :w] >= 0.5).T.copy()  # moves[i]: who moves at step t + i + 1
+        for k, rng in enumerate(live_rngs):
+            rng.bit_generator.advance(count - w)
+            rng.random(out=draws[k, :w])
+            if done + w < count:
+                rng.bit_generator.advance(2**128 - count)  # back to the next coin
+        picked = draws[:ids.size, :w].T.copy()
+        live = np.ones(ids.size, dtype=bool)
+        row = ids * n  # where each live trial's row of ``unseen`` starts
+        for i in range(w):
+            t += 1
+            movers = moves[i].nonzero()[0]
+            if not movers.size:
+                continue
+            g = s.step(t)
+            if not g.m:  # an edgeless step moves no one
+                continue
+            here = x[movers]
+            deg = g.degree[here]
+            # clip: an isolated vertex may point one past the last neighbour; it stays put
+            there = g.adj_indices.take(
+                g.adj_indptr[here] + (picked[i][movers] * deg).astype(np.int64), mode="clip")
+            if np.count_nonzero(deg) < deg.size:
+                there = np.where(deg > 0, there, here)
+            x[movers] = there
+            if kind == "hit":
+                stopped = movers[target_mask[there].nonzero()[0]]
+            elif kind == "cover":
+                cells = row[movers] + there
+                fresh = unseen[cells].nonzero()[0]
+                if not fresh.size:
+                    continue
+                unseen[cells[fresh]] = False
+                fresh = movers[fresh]
+                remaining[fresh] -= 1
+                stopped = fresh[(remaining[fresh] == 0).nonzero()[0]]
+            else:
+                continue
+            if stopped.size:
+                times[ids[stopped]] = t
+                live[stopped] = False
+                moves[:, stopped] = False
+        ids, x = ids[live], x[live]
+        if kind == "cover":
+            remaining = remaining[live]
+    for j, xj in zip(ids.tolist(), x.tolist()):
+        times[j], censored[j] = _walk_alone(s, xj, rngs[j], t, horizon, kind, target_mask,
+                                            unseen[j * n:(j + 1) * n] if kind == "cover" else None)
 
 
 # ---------------------------------------------------------------------------

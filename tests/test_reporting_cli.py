@@ -498,6 +498,34 @@ def test_commute_rejects_family_flags_beside_graph(tmp_path, capsys, argv):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--s", "0"], "--s and --t name one pair"),
+    (["--t", "1"], "--s and --t name one pair"),
+    (["--s", "0", "--t", "5"], "--s and --t must be two distinct vertices below 5"),
+    (["--s", "2", "--t", "2"], "--s and --t must be two distinct vertices below 5"),
+])
+def test_commute_pair_is_two_vertices_of_the_graph(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["commute", "--family", "cycle", "--n", "5", *argv,
+                  "--out", str(tmp_path / "c.csv")])
+    assert exc.value.code == 2
+    assert f"commute: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["gen", "nohitting", "--n", "10"], "gen nohitting"),
+    (["gen", "barbell", "--n", "16"], "gen barbell"),
+    (["commute", "--family", "circulant", "--n", "4"], "commute circulant"),
+])
+def test_values_a_builder_rejects_exit_2(tmp_path, capsys, argv, target):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"{target}: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # torus and random_regular graphs need --dims / --d, which commute does not have
 @pytest.mark.parametrize("argv", [
     ["gen", "nope", "--n", "8"],

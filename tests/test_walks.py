@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynwalks import chain, constructions, graphs, schedule, walks
 from dynwalks.errors import GraphError, TruncationError
@@ -143,6 +145,124 @@ def test_monte_carlo_cover_on_complete_graph():
     # lazy coupon collector over the n-1 unseen vertices: 2 (n-1) H_{n-1}
     expected = 2 * 5 * sum(1 / k for k in range(1, 6))
     assert abs(mc.mean - expected) <= 4 * mc.stderr
+
+
+def _walk_one_trial(s, start, rng, kind, target_mask, horizon):
+    """One trajectory, one step at a time, in whole blocks; returns (stop time, censored)."""
+    x = int(start)
+    if kind == "hit" and target_mask[x]:
+        return 0, False
+    visited = None
+    remaining = 0
+    if kind == "cover":
+        visited = np.zeros(s.n, dtype=bool)
+        visited[x] = True
+        remaining = s.n - 1
+        if remaining == 0:
+            return 0, False
+    t = 0
+    while t < horizon:
+        count = min(1024, horizon - t)
+        coins = rng.random(count)
+        picks = rng.random(count)
+        for i in range(count):
+            t += 1
+            if coins[i] >= 0.5:
+                g = s.step(t)
+                lo, hi = g.adj_indptr[x], g.adj_indptr[x + 1]
+                deg = hi - lo
+                if deg > 0:
+                    x = int(g.adj_indices[lo + int(picks[i] * deg)])
+            if kind == "hit":
+                if target_mask[x]:
+                    return t, False
+            elif kind == "cover":
+                if not visited[x]:
+                    visited[x] = True
+                    remaining -= 1
+                    if remaining == 0:
+                        return t, False
+    return horizon, kind != "horizon"
+
+
+def monte_carlo_one_at_a_time(s, start, seed, trials, stop, horizon):
+    """Independent oracle for walks.monte_carlo: the trials run one after another."""
+    kind = stop[0]
+    target_mask = walks._target_mask(s.n, stop[1]) if kind == "hit" else None
+    children = np.random.SeedSequence(seed).spawn(trials)
+    times = np.zeros(trials, dtype=np.int64)
+    censored = np.zeros(trials, dtype=bool)
+    for j in range(trials):
+        times[j], censored[j] = _walk_one_trial(s, start, np.random.default_rng(children[j]),
+                                                kind, target_mask, horizon)
+    good = times[~censored]
+    mean = float(good.mean()) if good.size else float("nan")
+    stderr = float(good.std(ddof=1) / np.sqrt(good.size)) if good.size > 1 else float("nan")
+    return times, censored, mean, stderr
+
+
+HORIZONS = (1, 63, 64, 65, 1023, 1025, 2049)  # mid-window, window and block edges
+
+
+@st.composite
+def mc_cases(draw):
+    """(schedule, start, stop rule, trials, horizon, seed); the graphs are sparse
+    enough to leave isolated vertices and unreachable targets."""
+    family = draw(st.sampled_from(["static", "periodic", "generator"]))
+    if family == "generator":
+        s = constructions.build_random_regular_schedule(
+            draw(st.integers(5, 12)), 4, seed=draw(st.integers(0, 99)),
+            connected=draw(st.booleans()))
+    else:
+        n = draw(st.integers(1, 10))
+
+        def graph():
+            pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=2 * n))
+            return graphs.StaticGraph(n, [(u, v) for u, v in pairs if u != v])
+
+        if family == "static":
+            s = schedule.GraphSchedule(n, cycle_runs=[(graph(), 1)])
+        else:
+            prefix = [(graph(), draw(st.integers(1, 40)))] if draw(st.booleans()) else None
+            s = schedule.GraphSchedule(n, prefix_runs=prefix, cycle_runs=[
+                (graph(), draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))])
+    vertex = st.integers(0, s.n - 1)
+    stop = draw(st.one_of(st.tuples(st.just("hit"), vertex),
+                          st.tuples(st.just("hit"), st.frozensets(vertex, min_size=1)),
+                          st.just(("cover",)), st.just(("horizon",))))
+    return (s, draw(vertex), stop, draw(st.integers(1, 24)), draw(st.sampled_from(HORIZONS)),
+            draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=mc_cases())
+# a start inside the target; cover with n = 1
+@example(case=(static(graphs.cycle_graph(8)), 3, ("hit", frozenset({3, 5})), 5, 64, 1))
+@example(case=(schedule.GraphSchedule(1, cycle_runs=[(graphs.StaticGraph(1, []), 1)]), 0,
+               ("cover",), 3, 65, 2))
+# many trials that cross block edges, stop at different times and get censored
+@example(case=(static(graphs.path_graph(30)), 0, ("hit", 29), 20, 2049, 3))
+@example(case=(constructions.build_random_regular_schedule(12, 4, seed=3), 0, ("cover",),
+               30, 1025, 4))
+@example(case=(static(graphs.path_graph(6)), 2, ("horizon",), 12, 65, 5))
+def test_monte_carlo_matches_one_at_a_time_oracle(case):
+    s, start, stop, trials, horizon, seed = case
+    mc = walks.monte_carlo(s, start, seed=seed, trials=trials, stop=stop, horizon=horizon)
+    times, censored, mean, stderr = monte_carlo_one_at_a_time(s, start, seed, trials, stop,
+                                                               horizon)
+    assert np.array_equal(mc.times, times)
+    assert np.array_equal(mc.censored, censored)
+    assert mc.n_censored == int(censored.sum()) and mc.trials == trials
+    for got, want in ((mc.mean, mean), (mc.stderr, stderr)):
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_monte_carlo_rejects_a_start_out_of_range():
+    s = static(graphs.cycle_graph(6))
+    for start in (-1, 6):
+        with pytest.raises(GraphError):
+            walks.monte_carlo(s, start, seed=0, trials=3, stop=("cover",))
 
 
 def test_variance_decay_and_monotonicity():
