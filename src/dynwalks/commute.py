@@ -120,12 +120,21 @@ def _prefix_cuts(g: StaticGraph, order: np.ndarray) -> np.ndarray:
     return np.cumsum(delta)[1:g.n]
 
 
+def _tie_rank(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Dense ranks of ``values`` in which a value within ``tol`` of its sorted
+    neighbour shares that neighbour's rank, so roundoff cannot split a tie."""
+    order = np.argsort(values, kind="stable")
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.concatenate(([0], np.cumsum(np.diff(values[order]) > tol)))
+    return rank
+
+
 def voltage_labelling(g: StaticGraph, volt: VoltageFunction) -> Labelling:
-    """Vertices by non-decreasing voltage, ties by index, s first and t last."""
+    """Vertices by non-decreasing voltage rank, ties by index, s first and t last."""
     key = volt.values.copy()
     key[volt.s] = -np.inf
     key[volt.t] = np.inf
-    order = np.lexsort((np.arange(g.n), key))
+    order = np.lexsort((np.arange(g.n), _tie_rank(key)))
     cuts = _prefix_cuts(g, order)
     flows = cuts / (4.0 * g.m)
     return Labelling(order=order, prefix_boundaries=cuts, prefix_flows=flows)
@@ -174,6 +183,7 @@ def connected_labelling(g: StaticGraph, volt: VoltageFunction,
     after t).  A not-found result at small n is flagged, never fabricated."""
     n, s = g.n, volt.s
     gv = volt.values
+    rank = _tie_rank(gv, tol)
     order = [s]
     used = np.zeros(n, dtype=bool)
     used[s] = True
@@ -181,7 +191,7 @@ def connected_labelling(g: StaticGraph, volt: VoltageFunction,
     while len(order) < n:
         frontier = sorted(
             {int(w) for u in order for w in g.neighbors(u) if not used[w]},
-            key=lambda w: (gv[w], w))
+            key=lambda w: (rank[w], w))
         if not frontier:
             greedy_ok = False
             break
@@ -196,13 +206,13 @@ def connected_labelling(g: StaticGraph, volt: VoltageFunction,
 
     if n > 12:
         return ConnectedLabelling(order=None, status="not-found", greedy_ok=False)
-    found = _search_labelling(g, gv, s, tol)
+    found = _search_labelling(g, gv, rank, s, tol)
     if found is not None:
         return ConnectedLabelling(order=np.array(found), status="found-search", greedy_ok=False)
     return ConnectedLabelling(order=None, status="not-found", greedy_ok=False)
 
 
-def _search_labelling(g: StaticGraph, gv, s, tol):
+def _search_labelling(g: StaticGraph, gv, rank, s, tol):
     n = g.n
     used = np.zeros(n, dtype=bool)
     used[s] = True
@@ -214,7 +224,7 @@ def _search_labelling(g: StaticGraph, gv, s, tol):
         last = gv[order[-1]]
         cands = sorted(
             {int(w) for u in order for w in g.neighbors(u) if not used[w]},
-            key=lambda w: (gv[w], w))
+            key=lambda w: (rank[w], w))
         for w in cands:
             if gv[w] < last - tol:
                 continue

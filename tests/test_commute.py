@@ -230,3 +230,17 @@ def test_connectivity_bound_shapes():
     # circulant family: bound within a log factor of n^2 / rho
     g = graphs.circulant_graph(64, 2)
     assert commute.connectivity_bound(g) / (64 * 64 / 2) <= 4.0 * np.log2(4)
+
+
+def test_near_tied_voltages_keep_their_order():
+    # a voltage nudged by 1e-13 past its tied neighbour is still ordered by index
+    g = graphs.cycle_graph(8)
+    volt = commute.solve_voltage(g, 0, 4)
+    base = commute.voltage_labelling(g, volt).order
+    assert volt.values[3] == pytest.approx(volt.values[5], abs=1e-15)
+    for w, delta in ((3, 1e-13), (5, -1e-13)):
+        moved = commute.VoltageFunction(values=volt.values.copy(), s=0, t=4)
+        moved.values[w] += delta
+        assert np.array_equal(commute.voltage_labelling(g, moved).order, base)
+        assert np.array_equal(commute.connected_labelling(g, moved).order,
+                              commute.connected_labelling(g, volt).order)
