@@ -20,27 +20,32 @@ VOLTAGE_RESIDUAL_TOL = 1e-9
 
 
 # Each public function checks connectivity once; the private helpers they
-# compose (_hitting_times_to, _solve_voltage) assume it has been checked.
+# compose (_laplacian_pinv, _solve_voltage) assume it has been checked.
 def _require_connected(g: StaticGraph):
     if not is_connected(g):
         raise GraphError("operation requires a connected graph")
 
 
-def hitting_times_to(g: StaticGraph, target: int) -> np.ndarray:
-    """Expected lazy-walk times to reach ``target`` from every vertex (linear solve)."""
-    _require_connected(g)
-    return _hitting_times_to(g, target)
+def _laplacian_pinv(g: StaticGraph) -> np.ndarray:
+    """L+ = inv(L + J/n) - J/n for a connected g, J the all-ones matrix.
 
-
-def _hitting_times_to(g: StaticGraph, target: int) -> np.ndarray:
-    P = chain.lazy_matrix(g)
+    Every commute, hitting and voltage quantity below is read off L+: the
+    lazy walk has C_uv = 4m R_eff(u, v) = 4m (L+uu + L+vv - 2 L+uv)."""
     n = g.n
-    A = np.eye(n) - P
-    A[target, :] = 0.0
-    A[target, target] = 1.0
-    b = np.ones(n)
-    b[target] = 0.0
-    return np.linalg.solve(A, b)
+    L = np.diag(g.degree.astype(float))
+    L[g.edges[:, 0], g.edges[:, 1]] = -1.0
+    L[g.edges[:, 1], g.edges[:, 0]] = -1.0
+    J = np.full((n, n), 1.0 / n)
+    return np.linalg.inv(L + J) - J
+
+
+def hitting_times_to(g: StaticGraph, target: int) -> np.ndarray:
+    """Expected lazy-walk times to reach ``target`` from every vertex:
+    2 (a - a[target]) with a = L+ d - 2m L+[:, target]."""
+    _require_connected(g)
+    Lp = _laplacian_pinv(g)
+    a = Lp @ g.degree - 2.0 * g.m * Lp[:, target]
+    return 2.0 * (a - a[target])
 
 
 def exact_commute(g: StaticGraph, s: int, t: int) -> float:
@@ -48,14 +53,16 @@ def exact_commute(g: StaticGraph, s: int, t: int) -> float:
     if s == t:
         return 0.0
     _require_connected(g)
-    return float(_hitting_times_to(g, t)[s] + _hitting_times_to(g, s)[t])
+    Lp = _laplacian_pinv(g)
+    return float(4.0 * g.m * (Lp[s, s] + Lp[t, t] - 2.0 * Lp[s, t]))
 
 
 def commute_matrix(g: StaticGraph) -> np.ndarray:
-    """All pairwise commute times via n absorbing solves."""
+    """All pairwise commute times, 4m (L+uu + L+vv - 2 L+uv)."""
     _require_connected(g)
-    H = np.column_stack([_hitting_times_to(g, v) for v in range(g.n)])
-    return H + H.T
+    Lp = _laplacian_pinv(g)
+    d = np.diag(Lp)
+    return 4.0 * g.m * (d[:, None] + d[None, :] - 2.0 * Lp)
 
 
 def max_commute(g: StaticGraph) -> float:
@@ -79,15 +86,12 @@ def solve_voltage(g: StaticGraph, s: int, t: int) -> VoltageFunction:
 def _solve_voltage(g: StaticGraph, s: int, t: int) -> VoltageFunction:
     if s == t:
         raise GraphError("voltage needs distinct endpoints")
+    # the potential of a unit current from t to s, scaled to 0 at s and 1 at t
+    Lp = _laplacian_pinv(g)
+    x = Lp[:, t] - Lp[:, s]
+    vals = (x - x[s]) / (x[t] - x[s])
+    interior = np.array([v for v in range(g.n) if v not in (s, t)], dtype=np.int64)
     P = chain.lazy_matrix(g)
-    n = g.n
-    interior = np.array([v for v in range(n) if v not in (s, t)], dtype=np.int64)
-    vals = np.zeros(n)
-    vals[t] = 1.0
-    if interior.size:
-        A = np.eye(len(interior)) - P[np.ix_(interior, interior)]
-        b = P[interior, t]
-        vals[interior] = np.linalg.solve(A, b)
     resid = np.abs(vals - P @ vals)[interior].max() if interior.size else 0.0
     if resid > VOLTAGE_RESIDUAL_TOL:
         raise GraphError(f"voltage solve residual {resid:.3e} exceeds tolerance")

@@ -1,8 +1,77 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynwalks import chain, commute, graphs
 from dynwalks.errors import GraphError
+
+
+# Oracle: the absorbing and interior linear solves that commute.py used before
+# it read every quantity off the Laplacian pseudo-inverse.  One solve per
+# target, two per commute time, n per commute matrix.
+def oracle_hitting_times_to(g, target):
+    P = chain.lazy_matrix(g)
+    n = g.n
+    A = np.eye(n) - P
+    A[target, :] = 0.0
+    A[target, target] = 1.0
+    b = np.ones(n)
+    b[target] = 0.0
+    return np.linalg.solve(A, b)
+
+
+def oracle_exact_commute(g, s, t):
+    if s == t:
+        return 0.0
+    return float(oracle_hitting_times_to(g, t)[s] + oracle_hitting_times_to(g, s)[t])
+
+
+def oracle_commute_matrix(g):
+    H = np.column_stack([oracle_hitting_times_to(g, v) for v in range(g.n)])
+    return H + H.T
+
+
+def oracle_voltage(g, s, t):
+    P = chain.lazy_matrix(g)
+    n = g.n
+    interior = np.array([v for v in range(n) if v not in (s, t)], dtype=np.int64)
+    vals = np.zeros(n)
+    vals[t] = 1.0
+    if interior.size:
+        A = np.eye(len(interior)) - P[np.ix_(interior, interior)]
+        b = P[interior, t]
+        vals[interior] = np.linalg.solve(A, b)
+    return vals
+
+
+def _close(got, want, rel=1e-10):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@st.composite
+def connected_graphs(draw):
+    family = draw(st.sampled_from(["gnp", "path", "barbell"]))
+    if family == "barbell":
+        return graphs.barbell_graph(3 * draw(st.integers(2, 21)))
+    n = draw(st.integers(2, 64))
+    if family == "path":
+        return graphs.path_graph(n)
+    p = draw(st.floats(min(1.0, 3.0 * np.log(n) / n), 1.0))  # connected w.h.p.
+    return graphs.gnp_connected_graph(n, p, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(), st.data())
+def test_pseudo_inverse_core_matches_linear_solves(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    t = data.draw(st.integers(0, g.n - 2))
+    t += t >= s
+    assert _close(commute.hitting_times_to(g, t), oracle_hitting_times_to(g, t))
+    assert _close(commute.exact_commute(g, s, t), oracle_exact_commute(g, s, t))
+    assert _close(commute.commute_matrix(g), oracle_commute_matrix(g))
+    assert _close(commute.solve_voltage(g, s, t).values, oracle_voltage(g, s, t))
 
 
 def test_exact_commute_oracles():
