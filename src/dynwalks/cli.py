@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Verbs: gen, mix, hit, cover, verify <inequality-id>, commute, suite <name>.
-CSV reports land in --out or $DYNWALKS_OUTDIR (default ./reports); exit
-status is 0 only if every checked bound passed.
+CSV reports land in --out or $DYNWALKS_OUTDIR (default ./reports).  Exit
+status 0 means every checked bound passed and 1 that one failed; a usage
+error (an unread or out-of-range flag, a vertex outside the graph, a missing
+or malformed input file, a disconnected graph for `commute`) exits 2 with a
+usage line before any file is written.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .suites import (
     KNOBS,
     SUITES,
     ExperimentConfig,
+    check_config,
     readers,
     run_suite,
 )
@@ -97,6 +101,22 @@ def _build(ap, target: str, fn, kwargs: dict):
         ap.error(f"{target}: {err}")
 
 
+def _read_file(ap, target: str, read, path: str):
+    """``read(path)``; a missing, unreadable or malformed file exits with status 2."""
+    try:
+        return read(path)
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        ap.error(f"{target}: cannot read {path}: {err}")
+
+
+def _check_vertices(ap, target: str, flags: dict, n: int) -> None:
+    """Exit with status 2 unless the values of ``flags`` are distinct vertices below n."""
+    vals = list(flags.values())
+    if not all(0 <= v < n for v in vals) or len(set(vals)) < len(vals):
+        what = "two distinct vertices" if len(vals) > 1 else "a vertex"
+        ap.error(f"{target}: --{' and --'.join(flags)} must be {what} below {n}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dynwalks")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -108,22 +128,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("mix", help="exact l2 mixing time of a schedule")
     m.add_argument("--schedule", help="schedule JSON file")
-    m.add_argument("--threshold", type=float, default=1.0 / 3.0)
-    m.add_argument("--horizon", type=int)
+    m.add_argument("--threshold", type=_positive_float, default=1.0 / 3.0)
+    m.add_argument("--horizon", type=_positive_int)
     m.add_argument("--out", help="output report file")
 
     hp = sub.add_parser("hit", help="exact expected hitting time (absorbing propagation)")
     hp.add_argument("--schedule", help="schedule JSON file")
     hp.add_argument("--u", type=int, required=True)
     hp.add_argument("--v", type=int, required=True)
-    hp.add_argument("--tmax", type=int)
+    hp.add_argument("--tmax", type=_positive_int)
     hp.add_argument("--eps", type=_positive_float)
     hp.add_argument("--out", help="output report file")
 
     c = sub.add_parser("cover", help="Monte Carlo cover time")
     c.add_argument("--schedule", help="schedule JSON file")
     c.add_argument("--start", type=int, default=0)
-    c.add_argument("--horizon", type=int, default=1_000_000)
+    c.add_argument("--horizon", type=_positive_int, default=1_000_000)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--trials", type=_positive_int)
 
@@ -157,12 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_schedule_arg(args) -> schedule.GraphSchedule:
-    if not args.schedule:
-        raise SystemExit("--schedule is required for this command")
-    return schedule.load_schedule(args.schedule)
-
-
 def _cmd_gen(args, s: schedule.GraphSchedule) -> int:
     out = args.out or f"{args.construction}.json"
     schedule.save_schedule(s, out)
@@ -170,8 +184,7 @@ def _cmd_gen(args, s: schedule.GraphSchedule) -> int:
     return 0
 
 
-def _cmd_mix(args) -> int:
-    s = _load_schedule_arg(args)
+def _cmd_mix(args, s: schedule.GraphSchedule) -> int:
     pi = schedule.validate_common_stationary(s, horizon=args.horizon or 100).pi
     t = walks.measure_mixing(s, pi, threshold=args.threshold,
                              horizon=args.horizon)
@@ -185,8 +198,7 @@ def _cmd_mix(args) -> int:
     return 0
 
 
-def _cmd_hit(args) -> int:
-    s = _load_schedule_arg(args)
+def _cmd_hit(args, s: schedule.GraphSchedule) -> int:
     est = walks.exact_hitting(s, args.u, args.v, t_max=args.tmax,
                               eps=args.eps or 1e-9)
     print(f"hit({args.u}->{args.v}) lower={est.lower:.6f} residual={est.residual_mass:.3e} "
@@ -202,8 +214,7 @@ def _cmd_hit(args) -> int:
     return 0
 
 
-def _cmd_cover(args) -> int:
-    s = _load_schedule_arg(args)
+def _cmd_cover(args, s: schedule.GraphSchedule) -> int:
     mc = walks.monte_carlo(s, args.start, seed=args.seed,
                            trials=args.trials or 100, stop=("cover",),
                            horizon=args.horizon)
@@ -212,11 +223,7 @@ def _cmd_cover(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = ExperimentConfig(
-        suite=INEQUALITY_TO_SUITE[args.inequality],
-        seeds=list(range(args.seeds)) if args.seeds is not None else None,
-        out=args.out)
+def _cmd_verify(cfg: ExperimentConfig) -> int:
     reports, path, ok = run_suite(cfg)
     digest, _ = summarize([path])
     print(digest)
@@ -258,16 +265,10 @@ def _cmd_commute(args, g: graphs.StaticGraph, kwargs) -> int:
     return 0 if ok else 1
 
 
-def _cmd_suite(args) -> int:
-    names = sorted(SUITES) if args.name == "all" else [args.name]
+def _cmd_suite(cfgs: list[ExperimentConfig]) -> int:
     paths = []
     ok = True
-    for name in names:
-        cfg = ExperimentConfig(
-            suite=name,
-            sizes=args.sizes,
-            seeds=list(range(args.seeds)) if args.seeds is not None else None,
-            trials=args.trials, eps=args.eps, out=args.out)
+    for cfg in cfgs:
         _, path, passed = run_suite(cfg)
         paths.append(path)
         ok = ok and passed
@@ -293,16 +294,17 @@ def main(argv=None) -> int:
                      if vars(args)[f] is not None]
             if given:
                 ap.error(f"commute --graph: --{given[0]} is read only without --graph")
-            g, kwargs = graphs.read_graph_text(args.graph), {}
+            g, kwargs = _read_file(ap, "commute", graphs.read_graph_text, args.graph), {}
         else:
             args.family = args.family or DEFAULT_COMMUTE_FAMILY
             target = f"commute {args.family}"
             kwargs = _read_flags(ap, args, target, graphs.FAMILIES, [args.family],
                                  _offered(graphs.FAMILIES))
             g = _build(ap, target, graphs.FAMILIES[args.family], kwargs)
-        if args.s is not None and not (0 <= args.s < g.n and 0 <= args.t < g.n
-                                       and args.s != args.t):
-            ap.error(f"commute: --s and --t must be two distinct vertices below {g.n}")
+        if args.s is not None:
+            _check_vertices(ap, "commute", {"s": args.s, "t": args.t}, g.n)
+        if not graphs.is_connected(g):
+            ap.error("commute: the graph is not connected")
         return _cmd_commute(args, g, kwargs)
     if args.command in ("suite", "verify"):
         if args.command == "verify":
@@ -311,11 +313,25 @@ def main(argv=None) -> int:
             target = args.name
             names = sorted(SUITES) if target == "all" else [target]
         _read_flags(ap, args, f"{args.command} {target}", SUITES, names, KNOBS)
-    handlers = {
-        "mix": _cmd_mix, "hit": _cmd_hit, "cover": _cmd_cover,
-        "verify": _cmd_verify, "suite": _cmd_suite,
-    }
-    return handlers[args.command](args)
+        knobs = {k: vars(args).get(k) for k in KNOBS}
+        if knobs["seeds"] is not None:
+            knobs["seeds"] = list(range(knobs["seeds"]))
+        cfgs = [ExperimentConfig(suite=name, out=args.out, **knobs) for name in names]
+        for cfg in cfgs:
+            try:
+                check_config(cfg)
+            except GraphError as err:  # a value the suite's signature rejects
+                ap.error(str(err))
+        return _cmd_verify(cfgs[0]) if args.command == "verify" else _cmd_suite(cfgs)
+    if not args.schedule:
+        ap.error(f"{args.command}: needs --schedule")
+    s = _read_file(ap, args.command, schedule.load_schedule, args.schedule)
+    if args.command == "hit":
+        _check_vertices(ap, "hit", {"u": args.u, "v": args.v}, s.n)
+    if args.command == "cover":
+        _check_vertices(ap, "cover", {"start": args.start}, s.n)
+    handlers = {"mix": _cmd_mix, "hit": _cmd_hit, "cover": _cmd_cover}
+    return handlers[args.command](args, s)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Each suite is a deterministic function of its keyword-only knobs: it builds
 schedules or graphs from pinned seeds, checks the relevant inequalities, and
 returns BoundReport rows.  The signature is the one declaration of which
-``ExperimentConfig`` knobs a suite reads and of their defaults.  ``run_suite``
-writes the rows as CSV; re-running a suite with an identical config yields a
+``ExperimentConfig`` knobs a suite reads, of their defaults, and of any rule
+their values must meet (``Annotated[type, check]``, checked before the suite
+runs).  ``run_suite`` writes the rows as CSV; re-running a suite with an identical config yields a
 byte-identical CSV body.
 """
 
@@ -14,6 +15,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import Annotated
 
 import numpy as np
 
@@ -335,14 +337,18 @@ _TORI = (
 )
 
 
-def suite_torus(*, sizes=None, eps=1e-6) -> list[BoundReport]:
+def torus_sides(sizes) -> None:
+    """Reject a size that is not the side of any torus family."""
+    unknown = sorted(set(sizes) - {side for _, sides, _, _ in _TORI for side in sides})
+    if unknown:
+        raise GraphError(f"torus-scaling: sizes {unknown} are not sides of any torus "
+                         f"({', '.join(str(sides) for _, sides, _, _ in _TORI)})")
+
+
+def suite_torus(*, sizes: Annotated[list | None, torus_sides] = None,
+                eps=1e-6) -> list[BoundReport]:
     """``sizes`` picks sides from the families' lists (None: every side); a
     family none of whose sides is picked runs its smallest side."""
-    if sizes is not None:
-        unknown = sorted(set(sizes) - {side for _, sides, _, _ in _TORI for side in sides})
-        if unknown:
-            raise GraphError(f"torus-scaling: sizes {unknown} are not sides of any torus "
-                             f"({', '.join(str(sides) for _, sides, _, _ in _TORI)})")
     out = []
     for dim, sides, norm, label in _TORI:
         if sizes is not None:
@@ -695,21 +701,33 @@ def readers(registry: dict, knob: str) -> tuple[str, ...]:
                  if knob in inspect.signature(fn).parameters)
 
 
+def check_config(cfg: ExperimentConfig) -> dict:
+    """The knobs set in ``cfg``, as keyword arguments for its suite.  Raises
+    GraphError on an unknown suite, on a set knob the suite does not read, and
+    on a value that a check in the suite's signature rejects."""
+    if cfg.suite not in SUITES:
+        raise GraphError(f"unknown suite {cfg.suite!r}; known: {sorted(SUITES)}")
+    params = inspect.signature(SUITES[cfg.suite], eval_str=True).parameters
+    knobs = {k: getattr(cfg, k) for k in KNOBS if getattr(cfg, k) is not None}
+    for knob, val in knobs.items():
+        if knob not in params:
+            raise GraphError(f"suite {cfg.suite}: {knob} is read only by "
+                             f"{', '.join(readers(SUITES, knob))}")
+        for check in getattr(params[knob].annotation, "__metadata__", ()):
+            check(val)
+    return knobs
+
+
 def run_suite(cfg: ExperimentConfig, out_path=None):
     """Execute one suite, write its CSV, and return (reports, path, all_passed).
 
     The knobs set in ``cfg`` are passed to the suite; one it does not read is
-    rejected before anything is written.  A precondition failure inside the
+    rejected before anything is written, as is a value its signature's
+    checks reject (``check_config``).  A precondition failure inside the
     suite still produces a machine-readable error record at the output path
     before the exception propagates.
     """
-    if cfg.suite not in SUITES:
-        raise GraphError(f"unknown suite {cfg.suite!r}; known: {sorted(SUITES)}")
-    knobs = {k: getattr(cfg, k) for k in KNOBS if getattr(cfg, k) is not None}
-    for knob in knobs:
-        if knob not in inspect.signature(SUITES[cfg.suite]).parameters:
-            raise GraphError(f"suite {cfg.suite}: {knob} is read only by "
-                             f"{', '.join(readers(SUITES, knob))}")
+    knobs = check_config(cfg)
     if out_path is None:
         out_dir = cfg.out or default_out_dir()
         out_path = f"{out_dir}/{cfg.suite}.csv"

@@ -317,6 +317,7 @@ def test_zero_tolerance_is_used_not_replaced(tmp_path):
     ["suite", "eq-interesting", "--sizes"],
     ["verify", "eq-mihai", "--seeds", "0"],
     ["cover", "--trials", "-1"],
+    ["suite", "torus-scaling", "--sizes", "7"],
 ])
 def test_cli_rejects_zero_and_empty_overrides(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -332,6 +333,7 @@ def test_cli_rejects_zero_and_empty_overrides(tmp_path, capsys, argv):
 def test_suites_reject_entries_they_would_ignore(tmp_path, name, kw):
     with pytest.raises(GraphError):
         run_suite(ExperimentConfig(suite=name, out=str(tmp_path), **kw))
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name, knob, kw", [
@@ -545,3 +547,71 @@ def test_commute_expander3_uses_the_size_aware_gap(tmp_path):
                      "--t", "3", "--out", str(out)]) == 0
     [row] = reporting.read_report_rows(out)
     assert row["passed"] == "1"
+
+
+@pytest.fixture
+def cycle_schedule(tmp_path):
+    path = tmp_path / "in" / "cycle.json"
+    path.parent.mkdir()
+    assert cli.main(["gen", "complete_then_cycle", "--n", "12", "--out", str(path)]) == 0
+    return str(path)
+
+
+# each of these ended in a traceback (exit 1) or ran a misread value
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "--start", "99"], "cover: --start must be a vertex below 12"),
+    (["cover", "--start", "-1"], "cover: --start must be a vertex below 12"),
+    (["hit", "--u", "0", "--v", "99"], "hit: --u and --v must be two distinct vertices below 12"),
+    (["hit", "--u", "0", "--v", "0"], "hit: --u and --v must be two distinct vertices below 12"),
+    (["hit", "--u", "-1", "--v", "3"], "hit: --u and --v must be two distinct vertices below 12"),
+    (["hit", "--u", "0", "--v", "3", "--tmax", "0"], "must be a positive int"),
+    (["mix", "--threshold", "-1"], "must be > 0"),
+    (["mix", "--horizon", "0"], "must be a positive int"),
+    (["cover", "--horizon", "0"], "must be a positive int"),
+])
+def test_vertex_and_range_flags_exit_2(tmp_path, capsys, cycle_schedule, argv, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    extra = [] if argv[0] == "cover" else ["--out", str(out / "r.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--schedule", cycle_schedule] + extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("verb, text, message", [
+    ("mix", None, "cannot read"),
+    ("mix", '{"n": 4, "mode": "bogus"}', "unknown schedule mode"),
+    ("mix", '{"n": 4}', "cannot read"),
+    ("mix", "not json", "cannot read"),
+    ("hit", None, "cannot read"),
+    ("commute", None, "cannot read"),
+    ("commute", "3 1\n0 1 5\n", "cannot read"),
+    ("commute", "3 1\n1 1\n", "self-loops are not allowed"),
+    ("commute", "4 2\n0 1\n2 3\n", "commute: the graph is not connected"),
+])
+def test_bad_input_files_exit_2(tmp_path, capsys, verb, text, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    flag = "--graph" if verb == "commute" else "--schedule"
+    pair = ["--u", "0", "--v", "1"] if verb == "hit" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, flag, str(path), *pair, "--out", str(out / "r.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("verb", ["mix", "hit", "cover"])
+def test_schedule_verbs_without_a_schedule_exit_2(capsys, verb):
+    pair = ["--u", "0", "--v", "1"] if verb == "hit" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, *pair])
+    assert exc.value.code == 2
+    assert f"{verb}: needs --schedule" in capsys.readouterr().err
