@@ -27,15 +27,11 @@ def _require_connected(g: StaticGraph):
 
 
 def _laplacian_pinv(g: StaticGraph) -> np.ndarray:
-    """L+ = inv(L + J/n) - J/n for a connected g, J the all-ones matrix.
-
-    Every commute, hitting and voltage quantity below is read off L+: the
-    lazy walk has C_uv = 4m R_eff(u, v) = 4m (L+uu + L+vv - 2 L+uv)."""
-    n = g.n
+    """L+ = inv(L + J/n) - J/n for a connected g, J the all-ones matrix.  Every
+    quantity below is read off it: C_uv = 4m (L+uu + L+vv - 2 L+uv) (lazy walk)."""
+    J = np.full((g.n, g.n), 1.0 / g.n)
     L = np.diag(g.degree.astype(float))
-    L[g.edges[:, 0], g.edges[:, 1]] = -1.0
-    L[g.edges[:, 1], g.edges[:, 0]] = -1.0
-    J = np.full((n, n), 1.0 / n)
+    L[g.edges[:, 0], g.edges[:, 1]] = L[g.edges[:, 1], g.edges[:, 0]] = -1.0
     return np.linalg.inv(L + J) - J
 
 
