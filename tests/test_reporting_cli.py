@@ -317,6 +317,10 @@ def test_zero_tolerance_is_used_not_replaced(tmp_path):
     ["suite", "eq-interesting", "--sizes"],
     ["verify", "eq-mihai", "--seeds", "0"],
     ["cover", "--trials", "-1"],
+    ["cover", "--horizon", "0"],
+    ["mix", "--threshold", "-1"],
+    ["mix", "--horizon", "0"],
+    ["hit", "--u", "0", "--v", "1", "--tmax", "0"],
     ["suite", "torus-scaling", "--sizes", "7"],
 ])
 def test_cli_rejects_zero_and_empty_overrides(tmp_path, capsys, argv):
@@ -431,6 +435,8 @@ def test_gen_accepts_exactly_the_flags_its_builder_reads(tmp_path, capsys, name,
     ["gen", "circulant", "--n", "12"],
     ["commute"],
     ["commute", "--family", "cycle"],
+    ["mix"],
+    ["hit", "--u", "0", "--v", "1"],
 ])
 def test_missing_required_flag_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -549,32 +555,21 @@ def test_commute_expander3_uses_the_size_aware_gap(tmp_path):
     assert row["passed"] == "1"
 
 
-@pytest.fixture
-def cycle_schedule(tmp_path):
-    path = tmp_path / "in" / "cycle.json"
-    path.parent.mkdir()
-    assert cli.main(["gen", "complete_then_cycle", "--n", "12", "--out", str(path)]) == 0
-    return str(path)
-
-
-# each of these ended in a traceback (exit 1) or ran a misread value
 @pytest.mark.parametrize("argv, message", [
     (["cover", "--start", "99"], "cover: --start must be a vertex below 12"),
     (["cover", "--start", "-1"], "cover: --start must be a vertex below 12"),
     (["hit", "--u", "0", "--v", "99"], "hit: --u and --v must be two distinct vertices below 12"),
     (["hit", "--u", "0", "--v", "0"], "hit: --u and --v must be two distinct vertices below 12"),
     (["hit", "--u", "-1", "--v", "3"], "hit: --u and --v must be two distinct vertices below 12"),
-    (["hit", "--u", "0", "--v", "3", "--tmax", "0"], "must be a positive int"),
-    (["mix", "--threshold", "-1"], "must be > 0"),
-    (["mix", "--horizon", "0"], "must be a positive int"),
-    (["cover", "--horizon", "0"], "must be a positive int"),
 ])
-def test_vertex_and_range_flags_exit_2(tmp_path, capsys, cycle_schedule, argv, message):
+def test_vertices_outside_the_schedule_exit_2(tmp_path, capsys, argv, message):
+    sched = tmp_path / "cycle.json"
+    assert cli.main(["gen", "complete_then_cycle", "--n", "12", "--out", str(sched)]) == 0
     out = tmp_path / "out"
     out.mkdir()
     extra = [] if argv[0] == "cover" else ["--out", str(out / "r.csv")]
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--schedule", cycle_schedule] + extra)
+        cli.main(argv + ["--schedule", str(sched)] + extra)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and message in err
@@ -607,11 +602,3 @@ def test_bad_input_files_exit_2(tmp_path, capsys, verb, text, message):
     assert err.startswith("usage:") and message in err
     assert not list(out.iterdir())
 
-
-@pytest.mark.parametrize("verb", ["mix", "hit", "cover"])
-def test_schedule_verbs_without_a_schedule_exit_2(capsys, verb):
-    pair = ["--u", "0", "--v", "1"] if verb == "hit" else []
-    with pytest.raises(SystemExit) as exc:
-        cli.main([verb, *pair])
-    assert exc.value.code == 2
-    assert f"{verb}: needs --schedule" in capsys.readouterr().err
