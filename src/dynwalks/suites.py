@@ -5,8 +5,8 @@ schedules or graphs from pinned seeds, checks the relevant inequalities, and
 returns BoundReport rows.  The signature is the one declaration of which
 ``ExperimentConfig`` knobs a suite reads, of their defaults, and of any rule
 their values must meet (``Annotated[type, check]``, checked before the suite
-runs).  ``run_suite`` writes the rows as CSV; re-running a suite with an identical config yields a
-byte-identical CSV body.
+runs).  ``run_suite`` writes the rows as CSV; re-running a suite with an
+identical config yields a byte-identical CSV body.
 """
 
 from __future__ import annotations
