@@ -18,6 +18,10 @@ DEFAULT_EXPANDER_GAP = 0.05
 LARGE_N_EXPANDER_GAP = 0.02
 EXPANDER_GAP_CUTOFF_N = 32
 REGULAR_RETRY_CAP = 1000
+# pairing attempts are drawn in batches of 4, 8, 16, ... rows, capped at
+# REGULAR_BATCH_STUBS stubs a batch (and at least one row)
+REGULAR_BATCH_START = 4
+REGULAR_BATCH_STUBS = 4096
 
 
 def expander_gap_threshold(n: int) -> float:
@@ -272,24 +276,45 @@ def complete_prism_graph(n: int) -> StaticGraph:
 
 
 def random_regular_graph(n: int, d: int, seed) -> StaticGraph:
-    """Pairing-model d-regular graph, rejecting self-loops and multi-edges."""
+    """Pairing-model d-regular graph, rejecting self-loops and multi-edges.
+
+    Attempts are drawn in batches, but the graph, the attempt count before
+    ``GenerationError`` and the final state of a Generator passed as ``seed``
+    are those of one ``rng.permutation(stubs)`` per attempt.
+    """
     if d < 1 or d >= n:
         raise GraphError("need 1 <= d < n")
     if (n * d) % 2 != 0:
         raise GraphError("n*d must be even")
     rng = as_rng(seed)
+    shared = rng is seed
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(REGULAR_RETRY_CAP):
-        perm = rng.permutation(stubs)
-        a, b = perm[0::2], perm[1::2]
-        if (a == b).any():
-            continue
-        # sorted 1-D keys lo*n + hi: a repeat is a multi-edge, and the keys
-        # are the accepted graph's canonical (lexicographic) edge list
-        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-        if (keys[1:] == keys[:-1]).any():
-            continue
-        return StaticGraph(n, np.column_stack([keys // n, keys % n]))
+    most = max(1, REGULAR_BATCH_STUBS // stubs.size)
+    tiled = np.tile(stubs, (most, 1))
+    drawn, k = 0, min(REGULAR_BATCH_START, most)
+    while drawn < REGULAR_RETRY_CAP:
+        k = min(k, REGULAR_RETRY_CAP - drawn)
+        state = rng.bit_generator.state if shared else None
+        # row i is the i-th of k successive rng.permutation(stubs) draws
+        perm = rng.permuted(tiled[:k], axis=1)
+        a, b = perm[:, 0::2], perm[:, 1::2]
+        free = (a != b).all(axis=1).nonzero()[0]
+        if free.size:
+            a, b = a[free], b[free]
+            # sorted 1-D keys lo*n + hi: a repeat is a multi-edge, and the keys
+            # are the accepted graph's canonical (lexicographic) edge list
+            keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=1)
+            simple = (keys[:, 1:] != keys[:, :-1]).all(axis=1).nonzero()[0]
+            if simple.size:
+                row = free[simple[0]]
+                if shared and row < k - 1:
+                    # leave the caller's Generator after the accepted draw
+                    rng.bit_generator.state = state
+                    rng.permuted(tiled[:row + 1], axis=1)
+                key = keys[simple[0]]
+                return StaticGraph(n, np.column_stack([key // n, key % n]))
+        drawn += k
+        k = min(2 * k, most)
     raise GenerationError(f"pairing model failed after {REGULAR_RETRY_CAP} attempts")
 
 

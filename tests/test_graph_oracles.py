@@ -6,6 +6,8 @@ rejection, and scipy's ``dijkstra`` and ``connected_components`` on a CSR
 matrix built from the edge list. Every comparison is exact.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -120,14 +122,27 @@ def test_bfs_distances_long_path_and_isolated_vertex():
 
 
 @SETTINGS
-@given(st.integers(2, 20), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_random_regular_matches_2d_rejection_oracle(n, d, seed):
+@given(st.integers(2, 128), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([graphs.REGULAR_RETRY_CAP, 1, 3, 5, 37]))
+def test_random_regular_matches_2d_rejection_oracle(n, d, seed, shared, cap):
+    # the batched sampler against one attempt at a time: a caller's Generator
+    # must end where the oracle leaves it, and a retry cap that falls inside
+    # a batch must fail after exactly that many attempts
     assume(d < n and (n * d) % 2 == 0)
-    try:
-        want = oracle_random_regular(n, d, seed)
-    except GenerationError:
-        with pytest.raises(GenerationError):
-            graphs.random_regular_graph(n, d, seed)
-        return
-    got = graphs.random_regular_graph(n, d, seed).edges
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def run(sample):
+        rng = np.random.default_rng(seed) if shared else seed
+        try:
+            edges = sample(n, d, rng)
+        except GenerationError:
+            edges = None
+        return edges, rng.random() if shared else None
+
+    with mock.patch.object(graphs, "REGULAR_RETRY_CAP", cap):
+        want, want_next = run(oracle_random_regular)
+        got, got_next = run(lambda *args: graphs.random_regular_graph(*args).edges)
+    assert got_next == want_next
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
