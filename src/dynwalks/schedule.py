@@ -3,8 +3,13 @@
 A schedule serves ``step(t)`` for t >= 1.  Three kinds exist: a finite list,
 a periodic list (optionally preceded by a finite prefix), and a seeded
 generator that materializes steps on demand.  Stored steps are served
-straight from their runs; generated steps and all lazy matrices are memoized
-so repeated traversals stay cheap.
+straight from their runs; generated steps and step operators are memoized so
+repeated traversals stay cheap.
+
+A step operator is the lazy walk matrix P of the step's graph.  Its
+representation follows the graph's density: a scipy CSR array for a large
+sparse graph (n >= SPARSE_MIN_N and at most n^2 / SPARSE_FILL nonzeros in P),
+the dense ``chain.lazy_matrix`` otherwise.  Either one serves ``P.T @ X``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from itertools import accumulate
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import chain
 from .errors import GraphError, ValidationError
@@ -24,6 +30,17 @@ from .graphs import StaticGraph, is_connected
 
 PI_TOL = 1e-10
 _GRAPH_CACHE_CAP = 4096
+# Where a CSR step operator beats the dense one, for one step P.T @ X with
+# k columns, measured at n = 64..512 (one BLAS thread, numpy 2.4, scipy 1.17,
+# 2-vCPU x86 host).  CSR pays about 30 us of scipy overhead an apply and
+# 50 us a build; a dense build writes all n^2 entries:
+# - an operator built afresh each step (generated or long-period steps):
+#   CSR wins from n = 160-192, up to n^2/8 nonzeros;
+# - k = n (measure_mixing): CSR wins from n = 128, up to n^2/16 nonzeros;
+# - a cached operator with k = 1 or 3: dense wins up to n = 384-448.
+# The rule below takes the first two and keeps a 2-4x margin on density.
+SPARSE_MIN_N = 192
+SPARSE_FILL = 32
 
 
 class GraphSchedule:
@@ -106,13 +123,20 @@ class GraphSchedule:
             self._graphs.popitem(last=False)
         return g
 
-    def step_matrix(self, t: int) -> np.ndarray:
+    def step_matrix(self, t: int) -> np.ndarray | sparse.csr_array:
+        """The lazy walk matrix P of step t, memoized: a CSR array when
+        n >= SPARSE_MIN_N and its n + 2m nonzeros are at most n^2 / SPARSE_FILL,
+        else the dense ``chain.lazy_matrix``."""
         key = self.step_key(t)
         got = self._matrices.get(key)
         if got is not None:
             self._matrices.move_to_end(key)
             return got
-        P = chain.lazy_matrix(self.step(t))
+        g, n = self.step(t), self.n
+        if n >= SPARSE_MIN_N and (n + 2 * g.m) * SPARSE_FILL <= n * n:
+            P = _lazy_csr(g)
+        else:
+            P = chain.lazy_matrix(g)
         self._matrices[key] = P
         cap = 128 if self.n <= 256 else 4
         if len(self._matrices) > cap:
@@ -121,6 +145,26 @@ class GraphSchedule:
 
     def __repr__(self):
         return f"GraphSchedule(n={self.n}, kind={self.kind!r}, name={self.name!r})"
+
+
+def _lazy_csr(g: StaticGraph) -> sparse.csr_array:
+    """``chain.lazy_matrix(g)`` as a CSR array, built from g's adjacency arrays.
+
+    Each row holds its diagonal entry first, then the neighbours in adjacency
+    order; an isolated vertex's row is its diagonal 1.
+    """
+    n, deg = g.n, g.degree
+    indptr = g.adj_indptr + np.arange(n + 1)
+    diag = indptr[:-1]
+    off = np.ones(indptr[-1], dtype=bool)
+    off[diag] = False
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[diag] = np.arange(n)
+    indices[off] = g.adj_indices
+    data = np.empty(indptr[-1])
+    data[diag] = np.where(deg > 0, 0.5, 1.0)
+    data[off] = np.repeat(0.5 / np.maximum(deg, 1), deg)
+    return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def _generator_step(n, generator, t) -> StaticGraph:
@@ -226,7 +270,7 @@ def window_average(s: GraphSchedule, t1: int, w: int, pi=None) -> WindowAverage:
         raise GraphError("window width must be >= 1")
     M = np.zeros((s.n, s.n))
     for t in range(t1 + 1, t1 + w + 1):
-        M += s.step_matrix(t)
+        M += chain.lazy_matrix(s.step(t))
     M /= w
     ergodic = window_ergodic(s, t1, w)
     if not ergodic:

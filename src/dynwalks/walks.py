@@ -69,10 +69,16 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _step(s: GraphSchedule, t: int, X: np.ndarray) -> np.ndarray:
+    """X after step t, P^(t)T X: X is one distribution or one per column.
+    P is dense or CSR, as ``step_matrix`` chose; both serve ``P.T @ X``."""
+    return s.step_matrix(t).T @ X
+
+
 def _propagate(s: GraphSchedule, p: np.ndarray, steps) -> np.ndarray:
-    """Row distribution p after the steps t of ``steps``, applied in order."""
+    """Distribution p after the steps t of ``steps``, applied in order."""
     for t in steps:
-        p = _clamp(p @ s.step_matrix(t))
+        p = _clamp(_step(s, t, p))
     return p
 
 
@@ -97,19 +103,21 @@ def measure_mixing(s: GraphSchedule, pi, threshold: float = 1.0 / 3.0,
                    horizon: int | None = None) -> int:
     """Smallest t with ||rho^[0,t]_{u,.} - 1||_{2,pi} <= threshold from every start.
 
-    Propagates all n point starts as one n x n product.  Raises
-    TruncationError carrying (horizon, worst norm) when the cap is reached.
+    Propagates all n point starts at once: M^T, one column per start, takes
+    one step per t.  Raises TruncationError carrying (horizon, worst norm)
+    when the cap is reached.
     """
     pi = chain._pi_array(pi)
     n = s.n
     if horizon is None:
         horizon = 100 * n * n
-    M = np.eye(n)
+    MT = np.eye(n)
+    inv_pi = 1.0 / pi
     target = threshold * threshold
     worst = np.inf
     for t in range(1, horizon + 1):
-        M = M @ s.step_matrix(t)
-        var = (M * M / pi[None, :]).sum(axis=1) - 1.0
+        MT = _step(s, t, MT)
+        var = inv_pi @ (MT * MT) - 1.0  # one product, not a strided column sum
         worst = float(var.max())
         if worst <= target:
             return t
@@ -147,22 +155,19 @@ def exact_hitting_batch(s: GraphSchedule, queries, t_max: int | None = None,
         t_max = 200 * n * n
     k = len(queries)
     X = np.zeros((n, k))
-    masks = []
+    absorbed = np.zeros((n, k), dtype=bool)  # column j: the target of query j
     for j, (source, target) in enumerate(queries):
-        mask = _target_mask(n, target)
-        p = _point_or_dist(n, source)
-        if p[mask].sum() > 0:
+        absorbed[:, j] = _target_mask(n, target)
+        X[:, j] = _point_or_dist(n, source)
+        if X[absorbed[:, j], j].sum() > 0:
             raise GraphError("source starts inside the target")
-        X[:, j] = p
-        masks.append(mask)
     lower = np.ones(k)  # Pr[tau > 0] = 1
     survival = np.ones(k)
     t = 0
     while t < t_max and survival.max() > eps:
         t += 1
-        X = s.step_matrix(t).T @ X
-        for j, mask in enumerate(masks):
-            X[mask, j] = 0.0
+        X = _step(s, t, X)
+        X[absorbed] = 0.0
         survival = X.sum(axis=0)
         lower += survival
     out = []

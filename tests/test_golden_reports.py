@@ -41,7 +41,13 @@ CONFIGS = {
 
 # computed before the walk-math representations were collapsed; commute-bounds
 # and circulant-connectivity re-pinned when the commute solves moved to the
-# Laplacian pseudo-inverse (last-digit changes, every row still passing)
+# Laplacian pseudo-inverse (last-digit changes, every row still passing).
+# nomixing re-pinned when large sparse steps moved to CSR operators (n=1000:
+# the sparse product sums in another order), four rows moving, all passing:
+#   nomixing-growth active step 1 rhs  0.0014861111111111112 -> ...117  (+2.9e-16 rel)
+#   nomixing-growth active step 2 rhs  0.002472800925925926  -> ...9265 (+1.8e-16 rel)
+#   nomixing-growth active step 3 rhs  0.0036092785493827156 -> ...717  (+3.6e-16 rel)
+#   nomixing-final-mass rhs as step 3, measured_c 0.18580680014264453 -> ...456 (+1.5e-16 rel)
 GOLDEN = {
     "cheeger-ballsize": "b458249a2295c0d76a3fd993b820b131502eae580a315d738270b6b0bc1e7121",
     "circulant-connectivity": "064a8b12898bac620f0b2f4bf115bd36319c88aacd13ae7e0bafaa76114d5666",
@@ -53,7 +59,7 @@ GOLDEN = {
     "eq-mihai": "153e4abe65bc01a8082539de7b73f71c3973dde706f88a3b40532f681790f284",
     "lemma-imp": "d1844f66b1338e0634f1382e6f72dedb4cf79bdcccb26e4d380da4617f70cca4",
     "lemma-inftoell2": "2c4ec9c8de3dc46b6a59be2d3e1ba30f87de1d9821d7e1865da56e12de9b698d",
-    "nomixing": "f4c71f9e73cf77444b097854b79918c1e02f2b822c28405773ab73bb871ac734",
+    "nomixing": "099a09e2507e5a1b69f15bc7711aac4fda96a5579d72aad5ce9dda63d3170cff",
     "thm-average": "73f31e041f7a4d4f55c04139ee4eebce4ab0fcb70f0b54c43fb2bdf346f970bb",
     "torus-scaling": "4c17d82a89f7bd46eede70cd5ad9386fca438a1cf9bbc0244ad8c4a619ab3d86",
     "worst-case": "529dcd0af628ffb147431f2732cd736913443b81c21da8a39f9c90c726a6f2aa",

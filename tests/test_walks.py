@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from dynwalks import chain, constructions, graphs, schedule, walks
 from dynwalks.errors import GraphError, TruncationError
@@ -113,6 +114,127 @@ def test_exact_hitting_batch_matches_single():
     for q, est in zip(qs, batch):
         single = walks.exact_hitting(s, q[0], q[1])
         assert est.lower == pytest.approx(single.lower, rel=1e-9)
+
+
+def test_step_operator_choice_at_the_benchmark_shapes():
+    """Dense for small or dense graphs, CSR for large sparse ones."""
+    nohitting = constructions.build_nohitting(16)
+    assert all(isinstance(nohitting.step_matrix(t), np.ndarray) for t in range(1, 49))
+    for n in (16, 32, 64):
+        assert isinstance(static(graphs.random_regular_graph(n, 4, n)).step_matrix(1), np.ndarray)
+    for n in (512, 1024):
+        assert isinstance(static(graphs.random_regular_graph(n, 4, n)).step_matrix(1),
+                          sparse.csr_array)
+    nohitting = constructions.build_nohitting(256)
+    assert all(isinstance(nohitting.step_matrix(t), sparse.csr_array) for t in range(1, 769))
+    dense = graphs.gnp_connected_graph(512, 0.5, 3)
+    assert isinstance(static(dense).step_matrix(1), np.ndarray)
+
+
+def _graph(n, m, isolated, seed):
+    """m distinct random edges among n - isolated vertices; the others are isolated."""
+    rng = np.random.default_rng(seed)
+    live = rng.permutation(n)[:n - isolated]
+    iu, iv = np.triu_indices(live.size, 1)
+    pick = rng.choice(iu.size, size=min(m, iu.size), replace=False)
+    return graphs.StaticGraph(n, np.column_stack([live[iu[pick]], live[iv[pick]]]))
+
+
+@st.composite
+def operator_schedules(draw):
+    """A schedule near n = SPARSE_MIN_N whose steps straddle the density rule:
+    edgeless steps, edge counts around the last one a CSR step may have,
+    dense steps and isolated vertices, in a prefix and a period."""
+    n = draw(st.integers(schedule.SPARSE_MIN_N - 2, schedule.SPARSE_MIN_N + 6))
+    cut = (n * n // schedule.SPARSE_FILL - n) // 2
+    edges = st.one_of(st.just(0), st.integers(1, cut - 4), st.integers(cut - 3, cut + 3),
+                      st.integers(cut + 4, 4 * cut))
+
+    def run():
+        g = _graph(n, draw(edges), draw(st.integers(0, n // 4)), draw(st.integers(0, 2**32)))
+        return g, draw(st.integers(1, 3))
+
+    prefix = [run()] if draw(st.booleans()) else None
+    return schedule.GraphSchedule(n, prefix_runs=prefix,
+                                  cycle_runs=[run() for _ in range(draw(st.integers(1, 4)))])
+
+
+def _mixing_reference(mats, pi):
+    """("mixed", t) or ("truncated", worst squared norm) by dense row products."""
+    M = np.eye(len(pi))
+    for t, P in enumerate(mats, 1):
+        M = M @ P
+        worst = ((M * M / pi).sum(axis=1) - 1.0).max()
+        if worst <= (1.0 / 3.0) * (1.0 / 3.0):  # as measure_mixing squares its threshold
+            return "mixed", t
+    return "truncated", worst
+
+
+OPERATOR_STEPS = 12
+
+_EDGELESS_AND_ISOLATED = schedule.GraphSchedule(
+    schedule.SPARSE_MIN_N,
+    cycle_runs=[(graphs.StaticGraph(schedule.SPARSE_MIN_N, []), 2),
+                (_graph(schedule.SPARSE_MIN_N, 300, 40, 0), 1),
+                (_graph(schedule.SPARSE_MIN_N, 3000, 0, 1), 1)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(s=operator_schedules(), seed=st.integers(0, 2**32))
+@example(s=_EDGELESS_AND_ISOLATED, seed=0)
+def test_step_operators_match_the_dense_lazy_matrix(s, seed):
+    """Oracle for the chosen step operators: every propagation through them
+    equals the same propagation through chain.lazy_matrix, to 1e-12."""
+    n, T = s.n, OPERATOR_STEPS
+    mats = [chain.lazy_matrix(s.step(t)) for t in range(1, T + 1)]
+    for t, P in enumerate(mats, 1):
+        op = s.step_matrix(t)
+        csr = n >= schedule.SPARSE_MIN_N and (n + 2 * s.step(t).m) * schedule.SPARSE_FILL <= n * n
+        assert isinstance(op, sparse.csr_array if csr else np.ndarray)
+        if csr:
+            np.testing.assert_allclose(op.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            op = op.toarray()
+        assert np.array_equal(op, P)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    rng = np.random.default_rng(seed)
+    p0 = rng.random(n) + 0.1  # mass on every vertex, the isolated ones too
+    p0 /= p0.sum()
+    ref = [p0]
+    for P in mats:
+        ref.append(ref[-1] @ P)
+    for got, want in zip(walks.evolve_trace(s, p0, T), ref, strict=True):
+        close(got, want)
+    close(walks.evolve(s, p0, T).p, ref[T])
+
+    order = rng.permutation(n)  # a point source, then the targets of four queries
+    queries = [(int(order[0]), int(order[1]))]
+    for size in (1, 3, 8):
+        src = p0.copy()
+        src[order[1:size + 1]] = 0.0
+        queries.append((src / src.sum(), set(order[1:size + 1].tolist())))
+    ests = walks.exact_hitting_batch(s, queries, t_max=T, eps=0.0)
+    for (source, target), est in zip(queries, ests):
+        x = walks._point_or_dist(n, source)
+        mask = walks._target_mask(n, target)
+        lower = 1.0
+        for P in mats[:est.T]:
+            x = x @ P
+            x[mask] = 0.0
+            lower += x.sum()
+        close(est.lower, lower)
+        close(est.residual_mass, x.sum())
+
+    pi = np.full(n, 1.0 / n)
+    try:
+        got = "mixed", walks.measure_mixing(s, pi, horizon=T)
+    except TruncationError as err:
+        got = "truncated", err.value
+    want = _mixing_reference(mats, pi)
+    assert got[0] == want[0]
+    close(got[1], want[1])
 
 
 def test_monte_carlo_k2_geometric_mean():
