@@ -16,8 +16,6 @@ from .chain import (
     dirichlet_form,
     spectral_gap,
     conductance,
-    conductance_set,
-    conductance_profile,
 )
 from .schedule import (
     GraphSchedule,

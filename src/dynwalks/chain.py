@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, GraphError
-from .graphs import StaticGraph, _member_mask
+from .graphs import StaticGraph
 
 STRUCTURAL_TOL = 1e-12
 SPECTRAL_TOL = 1e-9
@@ -137,25 +137,6 @@ def chain_eigenvalues(P, pi) -> np.ndarray:
     return np.linalg.eigvalsh(S)
 
 
-def probability_flow(P, pi, a_mask: np.ndarray, b_mask: np.ndarray) -> float:
-    """Q(A,B) = sum_{u in A, v in B} pi(u) P(u,v)."""
-    pi = _pi_array(pi)
-    sub = P[np.ix_(a_mask, b_mask)]
-    return float(np.sum(pi[a_mask][:, None] * sub))
-
-
-def conductance_set(P, pi, members) -> float:
-    """Phi_P(A) = Q(A, A^c) / min(pi(A), pi(A^c)) for a nonempty proper subset."""
-    pi = _pi_array(pi)
-    mask = _member_mask(P.shape[0], members)
-    k = int(mask.sum())
-    if k == 0 or k == P.shape[0]:
-        raise GraphError("conductance needs a nonempty proper subset")
-    q = probability_flow(P, pi, mask, ~mask)
-    bottom = min(float(pi[mask].sum()), float(pi[~mask].sum()))
-    return q / bottom
-
-
 def _crossing_pairs(P, pi):
     """Unordered pairs with positive flow and their symmetric weights pi(u)P(u,v)."""
     pi = _pi_array(pi)
@@ -216,18 +197,6 @@ def conductance_sampled(P, pi, samples: int, seed) -> tuple[float, bool]:
         pa = float(pi[mask].sum())
         best = min(best, q / min(pa, 1.0 - pa))
     return best, False
-
-
-def conductance_profile(g: StaticGraph, k: int) -> float:
-    """Phi_k = min over |S| = k of |E(S, V-S)| / (d |S|), regular graphs only."""
-    if not g.is_regular():
-        raise GraphError("the conductance profile is defined for regular graphs")
-    n, d = g.n, int(g.degree[0])
-    if n > EXACT_CONDUCTANCE_LIMIT:
-        raise CapabilityError(f"exact profile limited to n <= {EXACT_CONDUCTANCE_LIMIT}")
-    if not 1 <= k <= n // 2:
-        raise GraphError("profile index must satisfy 1 <= k <= n/2")
-    return float(cut_profile(g)[k] / (d * k))
 
 
 def cut_profile(g: StaticGraph) -> np.ndarray:

@@ -6,10 +6,13 @@ generator that materializes steps on demand.  Stored steps are served
 straight from their runs; generated steps and step operators are memoized so
 repeated traversals stay cheap.
 
-A step operator is the lazy walk matrix P of the step's graph.  Its
-representation follows the graph's density: a scipy CSR array for a large
-sparse graph (n >= SPARSE_MIN_N and at most n^2 / SPARSE_FILL nonzeros in P),
-the dense ``chain.lazy_matrix`` otherwise.  Either one serves ``P.T @ X``.
+A step operator is P^T, the transpose of the lazy walk matrix P of the step's
+graph, so that one step of a distribution (or of one distribution per column)
+is ``step_matrix(t) @ X``.  Its representation follows the graph's density: a
+scipy CSC array for a large sparse graph (n >= SPARSE_MIN_N and at most
+n^2 / SPARSE_FILL nonzeros in P), the transposed view of the dense
+``chain.lazy_matrix`` otherwise.  Operators are memoized up to
+OPERATOR_CACHE_BYTES in all.
 """
 
 from __future__ import annotations
@@ -30,17 +33,28 @@ from .graphs import StaticGraph, is_connected
 
 PI_TOL = 1e-10
 _GRAPH_CACHE_CAP = 4096
-# Where a CSR step operator beats the dense one, for one step P.T @ X with
-# k columns, measured at n = 64..512 (one BLAS thread, numpy 2.4, scipy 1.17,
-# 2-vCPU x86 host).  CSR pays about 30 us of scipy overhead an apply and
-# 50 us a build; a dense build writes all n^2 entries:
-# - an operator built afresh each step (generated or long-period steps):
-#   CSR wins from n = 160-192, up to n^2/8 nonzeros;
-# - k = n (measure_mixing): CSR wins from n = 128, up to n^2/16 nonzeros;
-# - a cached operator with k = 1 or 3: dense wins up to n = 384-448.
-# The rule below takes the first two and keeps a 2-4x margin on density.
+# Where a CSC step operator beats the dense one, for one step P^T @ X with k
+# columns, measured at n = 64..512 on random 4-regular graphs and at fills
+# n^2/4..n^2/32 (one BLAS thread, numpy 2.4, scipy 1.17, 2-vCPU x86 host; best
+# of 15, this host drifts by up to 2x).  A cached CSC apply costs 5-10 us with
+# k = 1 and 6-20 us with k = 3 at n = 128..512, against 5-70 us and 6-180 us
+# dense; a CSC build costs 35-85 us, a dense one writes all n^2 entries:
+# - a cached operator with k = 1 or 3: CSC wins from n = 128-192, up to
+#   n^2/16 nonzeros at n = 192-256 and n^2/4 at n = 512;
+# - k = n (measure_mixing): CSC wins from n = 128, up to n^2/16 nonzeros at
+#   n = 192-256 and n^2/8 at n = 512;
+# - an operator built afresh each step (generated or evicted steps): CSC
+#   wins from n = 256-320, up to n^2/8 nonzeros at n = 512.
+# The rule below sits between the first two and the third, with a 2x margin
+# on density.
 SPARSE_MIN_N = 192
 SPARSE_FILL = 32
+# Bytes of step operators one schedule keeps (CSC data + indices + indptr, or
+# a dense operator's nbytes); the least recently used go first.  It holds the
+# whole period of the long-period example schedules with room to spare:
+# build_nohitting(256)'s 768 CSC operators take about 4.9 MB and
+# build_nohitting(48)'s 144 dense ones 2.7 MB.
+OPERATOR_CACHE_BYTES = 16 << 20
 
 
 class GraphSchedule:
@@ -72,7 +86,8 @@ class GraphSchedule:
             if rep < 1:
                 raise GraphError("run repeat counts must be >= 1")
         self._graphs = OrderedDict()  # generator steps only
-        self._matrices = OrderedDict()
+        self._operators = OrderedDict()
+        self._operator_bytes = 0
         # cumulative run ends: step t lies in the first run whose end is >= t
         self._prefix_ends = list(accumulate(rep for _, rep in self.prefix_runs))
         self._cycle_ends = list(accumulate(rep for _, rep in self.cycle_runs or []))
@@ -123,35 +138,36 @@ class GraphSchedule:
             self._graphs.popitem(last=False)
         return g
 
-    def step_matrix(self, t: int) -> np.ndarray | sparse.csr_array:
-        """The lazy walk matrix P of step t, memoized: a CSR array when
-        n >= SPARSE_MIN_N and its n + 2m nonzeros are at most n^2 / SPARSE_FILL,
-        else the dense ``chain.lazy_matrix``."""
+    def step_matrix(self, t: int) -> np.ndarray | sparse.csc_array:
+        """P^T for the lazy walk matrix P of step t, memoized: a CSC array when
+        n >= SPARSE_MIN_N and P's n + 2m nonzeros are at most n^2 / SPARSE_FILL,
+        else the transposed view of the dense ``chain.lazy_matrix``."""
         key = self.step_key(t)
-        got = self._matrices.get(key)
+        got = self._operators.get(key)
         if got is not None:
-            self._matrices.move_to_end(key)
+            self._operators.move_to_end(key)
             return got
         g, n = self.step(t), self.n
         if n >= SPARSE_MIN_N and (n + 2 * g.m) * SPARSE_FILL <= n * n:
-            P = _lazy_csr(g)
+            op = _lazy_transpose_csc(g)
         else:
-            P = chain.lazy_matrix(g)
-        self._matrices[key] = P
-        cap = 128 if self.n <= 256 else 4
-        if len(self._matrices) > cap:
-            self._matrices.popitem(last=False)
-        return P
+            op = chain.lazy_matrix(g).T
+        self._operators[key] = op
+        self._operator_bytes += _nbytes(op)
+        while self._operator_bytes > OPERATOR_CACHE_BYTES and len(self._operators) > 1:
+            self._operator_bytes -= _nbytes(self._operators.popitem(last=False)[1])
+        return op
 
     def __repr__(self):
         return f"GraphSchedule(n={self.n}, kind={self.kind!r}, name={self.name!r})"
 
 
-def _lazy_csr(g: StaticGraph) -> sparse.csr_array:
-    """``chain.lazy_matrix(g)`` as a CSR array, built from g's adjacency arrays.
+def _lazy_transpose_csc(g: StaticGraph) -> sparse.csc_array:
+    """P^T for P = ``chain.lazy_matrix(g)``, as a CSC array built from g's
+    adjacency arrays: column v of P^T is row v of P.
 
-    Each row holds its diagonal entry first, then the neighbours in adjacency
-    order; an isolated vertex's row is its diagonal 1.
+    Each column holds its diagonal entry first, then the neighbours in
+    adjacency order; an isolated vertex's column is its diagonal 1.
     """
     n, deg = g.n, g.degree
     indptr = g.adj_indptr + np.arange(n + 1)
@@ -164,7 +180,13 @@ def _lazy_csr(g: StaticGraph) -> sparse.csr_array:
     data = np.empty(indptr[-1])
     data[diag] = np.where(deg > 0, 0.5, 1.0)
     data[off] = np.repeat(0.5 / np.maximum(deg, 1), deg)
-    return sparse.csr_array((data, indices, indptr), shape=(n, n))
+    return sparse.csc_array((data, indices, indptr), shape=(n, n))
+
+
+def _nbytes(op) -> int:
+    if isinstance(op, np.ndarray):
+        return op.nbytes
+    return op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
 
 
 def _generator_step(n, generator, t) -> StaticGraph:

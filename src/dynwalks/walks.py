@@ -71,8 +71,8 @@ def _clamp(p: np.ndarray) -> np.ndarray:
 
 def _step(s: GraphSchedule, t: int, X: np.ndarray) -> np.ndarray:
     """X after step t, P^(t)T X: X is one distribution or one per column.
-    P is dense or CSR, as ``step_matrix`` chose; both serve ``P.T @ X``."""
-    return s.step_matrix(t).T @ X
+    ``step_matrix`` serves P^T itself, dense or CSC as it chose."""
+    return s.step_matrix(t) @ X
 
 
 def _propagate(s: GraphSchedule, p: np.ndarray, steps) -> np.ndarray:

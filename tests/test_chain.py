@@ -7,6 +7,29 @@ from dynwalks import chain, graphs
 from dynwalks.errors import CapabilityError, GraphError
 
 
+# Set-level oracles for the exhaustive conductance and the cut profile.
+
+def probability_flow(P, pi, a_mask, b_mask) -> float:
+    """Q(A,B) = sum_{u in A, v in B} pi(u) P(u,v)."""
+    return float(np.sum(pi[a_mask][:, None] * P[np.ix_(a_mask, b_mask)]))
+
+
+def conductance_set(P, pi, members) -> float:
+    """Phi_P(A) = Q(A, A^c) / min(pi(A), pi(A^c)) for a nonempty proper subset."""
+    mask = np.zeros(P.shape[0], dtype=bool)
+    mask[list(members)] = True
+    if not 0 < mask.sum() < P.shape[0]:
+        raise GraphError("conductance needs a nonempty proper subset")
+    return probability_flow(P, pi, mask, ~mask) / min(pi[mask].sum(), pi[~mask].sum())
+
+
+def conductance_profile(g, k) -> float:
+    """Phi_k = min over |S| = k of |E(S, V-S)| / (d |S|), regular graphs only."""
+    if not g.is_regular():
+        raise GraphError("the conductance profile is defined for regular graphs")
+    return float(chain.cut_profile(g)[k] / (g.degree[0] * k))
+
+
 def test_lazy_matrix_k2():
     P = chain.lazy_matrix(graphs.complete_graph(2))
     assert np.allclose(P, [[0.5, 0.5], [0.5, 0.5]])
@@ -192,11 +215,11 @@ def test_conductance_set_examples():
     pi = chain.degree_stationary(g).pi
     P = chain.lazy_matrix(g)
     # Q({0}) = 2 edges / 4m = 1/16, min-side mass pi(0) = 1/8 -> 1/2
-    assert chain.conductance_set(P, pi, [0]) == pytest.approx(0.5)
+    assert conductance_set(P, pi, [0]) == pytest.approx(0.5)
     # contiguous half-arc: two crossing edges
-    assert chain.conductance_set(P, pi, [0, 1, 2, 3]) == pytest.approx(1 / 8)
+    assert conductance_set(P, pi, [0, 1, 2, 3]) == pytest.approx(1 / 8)
     with pytest.raises(GraphError):
-        chain.conductance_set(P, pi, [])
+        conductance_set(P, pi, [])
 
 
 def test_probability_flow_symmetry_and_edge_value():
@@ -206,8 +229,8 @@ def test_probability_flow_symmetry_and_edge_value():
     a = np.zeros(7, bool)
     a[[0, 2, 5]] = True
     # reversibility makes flow symmetric; each crossing edge carries 1/(4m)
-    q_ab = chain.probability_flow(P, pi, a, ~a)
-    q_ba = chain.probability_flow(P, pi, ~a, a)
+    q_ab = probability_flow(P, pi, a, ~a)
+    q_ba = probability_flow(P, pi, ~a, a)
     assert q_ab == pytest.approx(q_ba, abs=1e-14)
     crossing = len(graphs.edge_boundary(g, np.flatnonzero(a)))
     assert q_ab == pytest.approx(crossing / (4 * g.m))
@@ -221,7 +244,7 @@ def test_conductance_exhaustive_matches_subset_scan():
         pi = chain.degree_stationary(g).pi
         P = chain.lazy_matrix(g)
         best = min(
-            chain.conductance_set(P, pi, [v for v in range(n) if mask >> v & 1])
+            conductance_set(P, pi, [v for v in range(n) if mask >> v & 1])
             for mask in range(1, 2 ** n - 1))
         assert chain.conductance(P, pi) == pytest.approx(best, abs=1e-12)
 
@@ -253,11 +276,11 @@ def test_cheeger_inequality_small_graphs():
 def test_conductance_profile_and_cut_profile():
     k4 = graphs.complete_graph(4)
     # single vertex: boundary d, Phi_1 = 1; pairs: boundary 4, Phi_2 = 4/6
-    assert chain.conductance_profile(k4, 1) == pytest.approx(1.0)
-    assert chain.conductance_profile(k4, 2) == pytest.approx(4 / 6)
+    assert conductance_profile(k4, 1) == pytest.approx(1.0)
+    assert conductance_profile(k4, 2) == pytest.approx(4 / 6)
     # profile at k=1 recovers the minimum single-vertex boundary over degree
     g = graphs.cycle_graph(6)
     d = int(g.degree[0])
-    assert chain.conductance_profile(g, 1) * d == pytest.approx(g.degree.min())
+    assert conductance_profile(g, 1) * d == pytest.approx(g.degree.min())
     with pytest.raises(GraphError):
-        chain.conductance_profile(graphs.path_graph(4), 1)  # irregular
+        conductance_profile(graphs.path_graph(4), 1)  # irregular

@@ -117,18 +117,71 @@ def test_exact_hitting_batch_matches_single():
 
 
 def test_step_operator_choice_at_the_benchmark_shapes():
-    """Dense for small or dense graphs, CSR for large sparse ones."""
+    """P^T dense for small or dense graphs, CSC for large sparse ones."""
     nohitting = constructions.build_nohitting(16)
     assert all(isinstance(nohitting.step_matrix(t), np.ndarray) for t in range(1, 49))
     for n in (16, 32, 64):
         assert isinstance(static(graphs.random_regular_graph(n, 4, n)).step_matrix(1), np.ndarray)
     for n in (512, 1024):
         assert isinstance(static(graphs.random_regular_graph(n, 4, n)).step_matrix(1),
-                          sparse.csr_array)
+                          sparse.csc_array)
     nohitting = constructions.build_nohitting(256)
-    assert all(isinstance(nohitting.step_matrix(t), sparse.csr_array) for t in range(1, 769))
+    assert all(isinstance(nohitting.step_matrix(t), sparse.csc_array) for t in range(1, 769))
     dense = graphs.gnp_connected_graph(512, 0.5, 3)
     assert isinstance(static(dense).step_matrix(1), np.ndarray)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_long_period_builds_each_step_operator_once(monkeypatch):
+    """nohitting(48) has period 144: two periods of hitting build 144 operators."""
+    builds = _count_calls(monkeypatch, chain, "lazy_matrix")
+    s = constructions.build_nohitting(48)
+    est = walks.exact_hitting(s, 0, set(range(44, 48)), t_max=288)
+    assert est.T == 288
+    assert len(builds) == 144
+
+
+def _periodic_regular(n, period):
+    return schedule.GraphSchedule(
+        n, cycle_runs=[(graphs.random_regular_graph(n, 3, seed), 1) for seed in range(period)])
+
+
+@pytest.mark.parametrize("make", [lambda: constructions.build_nohitting(16),
+                                  lambda: _periodic_regular(schedule.SPARSE_MIN_N, 6)],
+                         ids=["dense", "csc"])
+def test_evicted_step_operators_give_the_same_results(monkeypatch, make):
+    """A byte cap of three operators rebuilds evicted steps; every output is
+    bit-identical to the uncapped run's."""
+
+    def run():
+        s = make()
+        n = s.n
+        pi = np.full(n, 1.0 / n) if s.pi is None else s.pi
+        trace = walks.evolve_trace(s, 0, 60)
+        hits = walks.exact_hitting_batch(s, [(0, n - 1), (1, {2, 3})], t_max=200)
+        return (np.array(trace), np.array([(e.lower, e.residual_mass, e.T) for e in hits]),
+                walks.measure_mixing(s, pi))
+
+    want = run()
+    cap = 3 * schedule._nbytes(make().step_matrix(1))  # every step's operator is this size
+    monkeypatch.setattr(schedule, "OPERATOR_CACHE_BYTES", cap)
+    dense = _count_calls(monkeypatch, chain, "lazy_matrix")
+    csc = _count_calls(monkeypatch, schedule, "_lazy_transpose_csc")
+    got = run()
+    assert len(dense) + len(csc) > 60  # uncapped: one build per step of the period
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
 
 
 def _graph(n, m, isolated, seed):
@@ -189,12 +242,12 @@ def test_step_operators_match_the_dense_lazy_matrix(s, seed):
     mats = [chain.lazy_matrix(s.step(t)) for t in range(1, T + 1)]
     for t, P in enumerate(mats, 1):
         op = s.step_matrix(t)
-        csr = n >= schedule.SPARSE_MIN_N and (n + 2 * s.step(t).m) * schedule.SPARSE_FILL <= n * n
-        assert isinstance(op, sparse.csr_array if csr else np.ndarray)
-        if csr:
-            np.testing.assert_allclose(op.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        csc = n >= schedule.SPARSE_MIN_N and (n + 2 * s.step(t).m) * schedule.SPARSE_FILL <= n * n
+        assert isinstance(op, sparse.csc_array if csc else np.ndarray)
+        if csc:
+            np.testing.assert_allclose(op.sum(axis=0), 1.0, rtol=0, atol=1e-12)
             op = op.toarray()
-        assert np.array_equal(op, P)
+        assert np.array_equal(op, P.T)
 
     def close(got, want):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
