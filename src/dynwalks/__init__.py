@@ -13,7 +13,7 @@ from .chain import (
     degree_stationary,
     inner_product_pi,
     variance_pi,
-    dirichlet_form,
+    dirichlet_form_edges,
     spectral_gap,
     conductance,
 )

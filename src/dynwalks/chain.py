@@ -1,8 +1,13 @@
-"""Lazy transition matrices and their l2(pi) geometry.
+"""The lazy walk step and its l2(pi) geometry.
 
-Everything here treats a chain as a dense row-stochastic matrix P together
-with a stationary distribution pi; reversibility (detailed balance) is the
-standing assumption and is checked where it matters.
+This module is the one place that writes the lazy step's entries: 1/2 on the
+diagonal, 1/(2 d_u) from u to each neighbour, and 1 on an isolated vertex's
+diagonal.  ``lazy_matrix`` builds P dense, ``lazy_transpose_csc`` builds P^T
+as a scipy CSC array from the graph's adjacency arrays, and
+``pi_step_residual`` and ``dirichlet_form_edges`` apply P edge by edge without
+building it.  The spectral and conductance functions take a dense
+row-stochastic P with a stationary pi and assume reversibility (detailed
+balance), checking it where it matters.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CapabilityError, GraphError
 from .graphs import StaticGraph
@@ -26,20 +32,64 @@ class StationaryDistribution:
     pi_star: float
 
 
+def _lazy_entries(g: StaticGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex u: the diagonal P(u,u) and the entry P(u,v) = 1/(2 d_u) on
+    each edge.  An isolated vertex keeps all its mass: P(u,u) = 1."""
+    deg = g.degree
+    return np.where(deg > 0, 0.5, 1.0), 0.5 / np.maximum(deg, 1)
+
+
 def lazy_matrix(g: StaticGraph) -> np.ndarray:
     """Lazy walk matrix: P(u,u) = 1/2, P(u,v) = 1/(2 d_u) on edges.
 
     Isolated vertices get an identity row (the walk cannot leave them).
     """
     n = g.n
+    diag, off = _lazy_entries(g)
+    u, v = g.edges[:, 0], g.edges[:, 1]
     P = np.zeros((n, n))
-    if g.m:
-        d = g.degree.astype(float)
-        P[g.edges[:, 0], g.edges[:, 1]] = 0.5 / d[g.edges[:, 0]]
-        P[g.edges[:, 1], g.edges[:, 0]] = 0.5 / d[g.edges[:, 1]]
-    diag = np.where(g.degree > 0, 0.5, 1.0)
+    P[u, v] = off[u]
+    P[v, u] = off[v]
     P[np.arange(n), np.arange(n)] = diag
     return P
+
+
+def lazy_transpose_csc(g: StaticGraph) -> sparse.csc_array:
+    """P^T for P = ``lazy_matrix(g)``, as a CSC array built from g's
+    adjacency arrays: column v of P^T is row v of P.
+
+    Each column holds its diagonal entry first, then the neighbours in
+    adjacency order; an isolated vertex's column is its diagonal 1.
+    """
+    n, deg = g.n, g.degree
+    diag_entry, off_entry = _lazy_entries(g)
+    indptr = g.adj_indptr + np.arange(n + 1)
+    diag = indptr[:-1]
+    off = np.ones(indptr[-1], dtype=bool)
+    off[diag] = False
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[diag] = np.arange(n)
+    indices[off] = g.adj_indices
+    data = np.empty(indptr[-1])
+    data[diag] = diag_entry
+    data[off] = np.repeat(off_entry, deg)
+    return sparse.csc_array((data, indices, indptr), shape=(n, n))
+
+
+def _pi_per_degree(g: StaticGraph, pi: np.ndarray) -> np.ndarray:
+    """pi(u) / d_u: twice the flow pi(u) P(u,v) along each edge out of u."""
+    return pi / np.maximum(g.degree, 1)
+
+
+def pi_step_residual(g: StaticGraph, pi: np.ndarray) -> float:
+    """max_v |(pi P)(v) - pi(v)| for the lazy step P of g, without building it."""
+    diag, _ = _lazy_entries(g)
+    half = 0.5 * _pi_per_degree(g, pi)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    flow_in = np.zeros(g.n)
+    np.add.at(flow_in, v, half[u])
+    np.add.at(flow_in, u, half[v])
+    return float(np.abs(diag * pi + flow_in - pi).max())
 
 
 def degree_stationary(g: StaticGraph) -> StationaryDistribution:
@@ -92,27 +142,22 @@ def likelihood_ratio(p, pi) -> np.ndarray:
     return rho
 
 
-def dirichlet_form(P, f, pi) -> float:
-    """E_P(f,f) = (1/2) sum_{u,v} (f(u)-f(v))^2 pi(u) P(u,v) for a dense matrix P."""
-    pi = _pi_array(pi)
-    f = np.asarray(f, float)
-    diff = f[:, None] - f[None, :]
-    return float(0.5 * np.sum(diff * diff * (pi[:, None] * P)))
-
-
 def dirichlet_form_edges(g: StaticGraph, f, pi=None) -> float:
-    """E_P(f,f) for the lazy step P of g, summed over the edges of g.
+    """E_P(f,f) = (1/2) sum_{u,v} (f(u)-f(v))^2 pi(u) P(u,v) for the lazy step
+    P of g, summed over the edges of g.
 
-    Uses the per-edge flow pi(u) P(u,v) = pi(u)/(2 d_u), valid for any pi
-    satisfying detailed balance with the step (flows are symmetric); pi
-    defaults to the degree-stationary distribution of g.
+    Edge {u, v} carries (pi(u) P(u,v) + pi(v) P(v,u)) / 2
+    = (pi(u)/d_u + pi(v)/d_v) / 4, which holds for any pi, stationary or not;
+    pi defaults to the degree-stationary distribution of g.  The form is
+    linear in P: the form of an average of steps is the average of theirs.
     """
     if g.m == 0:
         return 0.0
     pi = degree_stationary(g).pi if pi is None else _pi_array(pi)
     f = np.asarray(f, float)
+    r = _pi_per_degree(g, pi)
     u, v = g.edges[:, 0], g.edges[:, 1]
-    w = pi[u] * 0.5 / g.degree[u]
+    w = (r[u] + r[v]) / 4
     diff = f[u] - f[v]
     return float(np.sum(w * diff * diff))
 

@@ -170,7 +170,6 @@ def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[Labelling, CutSumBoun
 class ConnectedLabelling:
     order: np.ndarray | None
     status: str          # "found-greedy" | "found-search" | "not-found"
-    greedy_ok: bool
 
 
 def connected_labelling(g: StaticGraph, volt: VoltageFunction,
@@ -187,29 +186,24 @@ def connected_labelling(g: StaticGraph, volt: VoltageFunction,
     order = [s]
     used = np.zeros(n, dtype=bool)
     used[s] = True
-    greedy_ok = True
     while len(order) < n:
         frontier = sorted(
             {int(w) for u in order for w in g.neighbors(u) if not used[w]},
             key=lambda w: (rank[w], w))
-        if not frontier:
-            greedy_ok = False
+        if not frontier or gv[frontier[0]] < gv[order[-1]] - tol:
             break
         pick = frontier[0]
-        if gv[pick] < gv[order[-1]] - tol:
-            greedy_ok = False
-            break
         order.append(pick)
         used[pick] = True
-    if greedy_ok and len(order) == n:
-        return ConnectedLabelling(order=np.array(order), status="found-greedy", greedy_ok=True)
+    if len(order) == n:
+        return ConnectedLabelling(order=np.array(order), status="found-greedy")
 
     if n > 12:
-        return ConnectedLabelling(order=None, status="not-found", greedy_ok=False)
+        return ConnectedLabelling(order=None, status="not-found")
     found = _search_labelling(g, gv, rank, s, tol)
     if found is not None:
-        return ConnectedLabelling(order=np.array(found), status="found-search", greedy_ok=False)
-    return ConnectedLabelling(order=None, status="not-found", greedy_ok=False)
+        return ConnectedLabelling(order=np.array(found), status="found-search")
+    return ConnectedLabelling(order=None, status="not-found")
 
 
 def _search_labelling(g: StaticGraph, gv, rank, s, tol):

@@ -8,6 +8,7 @@ construction from the schedule JSON alone.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -66,14 +67,9 @@ def _torus_relabelled_step(n, params, seed, t) -> StaticGraph:
     return StaticGraph(n, sigma[base.edges])
 
 
-_TORUS_CACHE: dict[tuple, StaticGraph] = {}
-
-
+@cache
 def _torus_base(dims) -> StaticGraph:
-    got = _TORUS_CACHE.get(dims)
-    if got is None:
-        got = _TORUS_CACHE.setdefault(dims, torus_graph(dims))
-    return got
+    return torus_graph(dims)
 
 
 def nested_set_sizes(n: int) -> list[int]:
@@ -105,9 +101,11 @@ def _nomixing_step(n, params, seed, t) -> StaticGraph:
     return StaticGraph(n, np.concatenate([gadget, exp.edges]))
 
 
-def _nohitting_period(n: int) -> list[StaticGraph]:
+@cache
+def _nohitting_period(n: int) -> tuple[StaticGraph, ...]:
     """One 3n-step period: 6-step blocks per bucket pair, a 6-step rest block,
-    then the whole forward phase mirrored."""
+    then the whole forward phase mirrored.  Cached: every schedule on n
+    vertices shares these graphs."""
     if n % 4 != 0 or n < 8:
         raise GraphError("needs n a multiple of 4, n >= 8")
     k = n // 4
@@ -122,7 +120,7 @@ def _nohitting_period(n: int) -> list[StaticGraph]:
             forward.append(StaticGraph(n, edges))
     rest = StaticGraph(n, np.empty((0, 2), np.int64))
     forward.extend([rest] * 6)
-    return forward + forward[::-1]
+    return tuple(forward + forward[::-1])
 
 
 def nohitting_pi(n: int) -> np.ndarray:
@@ -132,12 +130,9 @@ def nohitting_pi(n: int) -> np.ndarray:
     return pi / (1.0 - 2.0 ** (-k))
 
 
-_NOHITTING_CACHE: dict[int, list[StaticGraph]] = {}
-
-
 def _nohitting_doubled_step(n2, params, seed, t) -> StaticGraph:
     n = n2 // 2
-    period = _NOHITTING_CACHE.setdefault(n, _nohitting_period(n))
+    period = _nohitting_period(n)
     interval = 3 * n + 2  # one matching step after every 3n+1 base steps
     if t % interval == 0:
         k = n // 4

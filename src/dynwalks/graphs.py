@@ -373,24 +373,15 @@ def _entropy_of(seed) -> int:
 
 
 def _lazy_gap_regular(g: StaticGraph) -> float:
-    # uniform pi makes the lazy matrix symmetric; large n uses sparse Lanczos
-    if g.n <= 400:
-        from . import chain  # deferred: chain imports this module
+    # uniform pi makes the lazy matrix symmetric, so P^T = P; large n uses
+    # sparse Lanczos
+    from . import chain  # deferred: chain imports this module
 
+    if g.n <= 400:
         return chain.spectral_gap(chain.lazy_matrix(g), np.full(g.n, 1.0 / g.n))
-    d = g.degree.astype(float)
-    from scipy.sparse import coo_matrix
     from scipy.sparse.linalg import eigsh
 
-    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], np.arange(g.n)])
-    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], np.arange(g.n)])
-    vals = np.concatenate([
-        0.5 / d[g.edges[:, 0]],
-        0.5 / d[g.edges[:, 1]],
-        np.full(g.n, 0.5),
-    ])
-    P = coo_matrix((vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
-    w = eigsh(P, k=2, which="LA", return_eigenvectors=False)
+    w = eigsh(chain.lazy_transpose_csc(g), k=2, which="LA", return_eigenvectors=False)
     return float(1.0 - np.sort(w)[0])
 
 

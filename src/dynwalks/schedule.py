@@ -8,9 +8,9 @@ repeated traversals stay cheap.
 
 A step operator is P^T, the transpose of the lazy walk matrix P of the step's
 graph, so that one step of a distribution (or of one distribution per column)
-is ``step_matrix(t) @ X``.  Its representation follows the graph's density: a
-scipy CSC array for a large sparse graph (n >= SPARSE_MIN_N and at most
-n^2 / SPARSE_FILL nonzeros in P), the transposed view of the dense
+is ``step_matrix(t) @ X``.  Its representation follows the graph's density:
+``chain.lazy_transpose_csc`` for a large sparse graph (n >= SPARSE_MIN_N and
+at most n^2 / SPARSE_FILL nonzeros in P), the transposed view of the dense
 ``chain.lazy_matrix`` otherwise.  Operators are memoized up to
 OPERATOR_CACHE_BYTES in all.
 """
@@ -139,9 +139,10 @@ class GraphSchedule:
         return g
 
     def step_matrix(self, t: int) -> np.ndarray | sparse.csc_array:
-        """P^T for the lazy walk matrix P of step t, memoized: a CSC array when
-        n >= SPARSE_MIN_N and P's n + 2m nonzeros are at most n^2 / SPARSE_FILL,
-        else the transposed view of the dense ``chain.lazy_matrix``."""
+        """P^T for the lazy walk matrix P of step t, memoized: the CSC
+        ``chain.lazy_transpose_csc`` when n >= SPARSE_MIN_N and P's n + 2m
+        nonzeros are at most n^2 / SPARSE_FILL, else the transposed view of
+        the dense ``chain.lazy_matrix``."""
         key = self.step_key(t)
         got = self._operators.get(key)
         if got is not None:
@@ -149,7 +150,7 @@ class GraphSchedule:
             return got
         g, n = self.step(t), self.n
         if n >= SPARSE_MIN_N and (n + 2 * g.m) * SPARSE_FILL <= n * n:
-            op = _lazy_transpose_csc(g)
+            op = chain.lazy_transpose_csc(g)
         else:
             op = chain.lazy_matrix(g).T
         self._operators[key] = op
@@ -160,27 +161,6 @@ class GraphSchedule:
 
     def __repr__(self):
         return f"GraphSchedule(n={self.n}, kind={self.kind!r}, name={self.name!r})"
-
-
-def _lazy_transpose_csc(g: StaticGraph) -> sparse.csc_array:
-    """P^T for P = ``chain.lazy_matrix(g)``, as a CSC array built from g's
-    adjacency arrays: column v of P^T is row v of P.
-
-    Each column holds its diagonal entry first, then the neighbours in
-    adjacency order; an isolated vertex's column is its diagonal 1.
-    """
-    n, deg = g.n, g.degree
-    indptr = g.adj_indptr + np.arange(n + 1)
-    diag = indptr[:-1]
-    off = np.ones(indptr[-1], dtype=bool)
-    off[diag] = False
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    indices[diag] = np.arange(n)
-    indices[off] = g.adj_indices
-    data = np.empty(indptr[-1])
-    data[diag] = np.where(deg > 0, 0.5, 1.0)
-    data[off] = np.repeat(0.5 / np.maximum(deg, 1), deg)
-    return sparse.csc_array((data, indices, indptr), shape=(n, n))
 
 
 def _nbytes(op) -> int:
@@ -204,18 +184,6 @@ def _generator_step(n, generator, t) -> StaticGraph:
 # ---------------------------------------------------------------------------
 # common-stationarity validation
 # ---------------------------------------------------------------------------
-
-def pi_step_residual(g: StaticGraph, pi: np.ndarray) -> float:
-    """max_v |(pi P)(v) - pi(v)| for the lazy matrix of g, without building it."""
-    flow_out = np.zeros(g.n)
-    if g.m:
-        d = g.degree.astype(float)
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        np.add.at(flow_out, v, pi[u] * 0.5 / d[u])
-        np.add.at(flow_out, u, pi[v] * 0.5 / d[v])
-    lazy_part = np.where(g.degree > 0, 0.5 * pi, pi)
-    return float(np.abs(lazy_part + flow_out - pi).max())
-
 
 def validate_common_stationary(s: GraphSchedule, horizon: int, candidate_pi=None
                                ) -> chain.StationaryDistribution:
@@ -256,7 +224,7 @@ def validate_common_stationary(s: GraphSchedule, horizon: int, candidate_pi=None
                     "common pi exists, supply one explicitly", step=t)
 
     for t in range(1, horizon + 1):
-        res = pi_step_residual(s.step(t), pi)
+        res = chain.pi_step_residual(s.step(t), pi)
         if res > PI_TOL:
             raise ValidationError(
                 f"pi is not stationary for step {t} (residual {res:.3e})", step=t)

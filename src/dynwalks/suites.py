@@ -389,7 +389,7 @@ def suite_counterexamples(*, sizes=(8, 12, 16), eps=1e-9) -> list[BoundReport]:
 
     worst = 0.0
     for t in range(1, 3 * n + 1):
-        worst = max(worst, schedule.pi_step_residual(s.step(t), s.pi))
+        worst = max(worst, chain.pi_step_residual(s.step(t), s.pi))
     out.append(BoundReport(
         suite="counterexamples", inequality_id="nohitting-pi-certified",
         instance=f"n={n} all {3 * n} period steps", lhs=worst, rhs=0.0,

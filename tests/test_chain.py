@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynwalks import chain, graphs
+from dynwalks import chain, constructions, graphs, schedule, walks
 from dynwalks.errors import CapabilityError, GraphError
+
+
+def dirichlet_form(P, f, pi) -> float:
+    """E_P(f,f) = (1/2) sum_{u,v} (f(u)-f(v))^2 pi(u) P(u,v) for a dense matrix P."""
+    f = np.asarray(f, float)
+    diff = f[:, None] - f[None, :]
+    return float(0.5 * np.sum(diff * diff * (np.asarray(pi, float)[:, None] * P)))
 
 
 # Set-level oracles for the exhaustive conductance and the cut profile.
@@ -127,28 +134,47 @@ def test_variance_two_formula_equivalence():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.integers(3, 24), st.integers(0, 2**32 - 1), st.booleans())
-def test_dirichlet_form_examples_and_equivalence(n, seed, regular):
+@given(st.integers(3, 24), st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 3))
+def test_dirichlet_form_examples_and_equivalence(n, seed, regular, isolated):
     k2 = graphs.complete_graph(2)
     assert chain.dirichlet_form_edges(k2, [0.0, 2.0]) == pytest.approx(1.0)
-    assert chain.dirichlet_form(chain.lazy_matrix(k2), [1.0, 1.0], [0.5, 0.5]) == 0.0
-    # the edge form against the dense one: the degree pi on any graph, and the
-    # uniform pi on a regular graph, the pi a schedule of regular steps declares
+    assert dirichlet_form(chain.lazy_matrix(k2), [1.0, 1.0], [0.5, 0.5]) == 0.0
+    # the edge form against the dense one: the degree pi on any graph, the
+    # uniform pi on a regular graph (the pi a schedule of regular steps
+    # declares) and a positive pi stationary for no step; the last
+    # `isolated` vertices have no edges
     rng = np.random.default_rng(seed)
     if regular:
         d = int(rng.integers(2, min(n - 1, 4) + 1))
-        g = graphs.random_regular_graph(n, d - (n * d) % 2, rng)
-        pis = [chain.degree_stationary(g).pi, np.full(n, 1.0 / n)]
+        live = graphs.random_regular_graph(n, d - (n * d) % 2, rng)
     else:
-        g = graphs.gnp_connected_graph(n, 0.5, rng)
-        pis = [chain.degree_stationary(g).pi]
-    f = rng.normal(size=n)
+        live = graphs.gnp_connected_graph(n, 0.5, rng)
+    g = graphs.StaticGraph(n + isolated, live.edges)
+    pis = [chain.degree_stationary(g).pi, rng.random(g.n) + 0.1]
+    pis[1] /= pis[1].sum()
+    if regular:
+        pis.append(np.full(g.n, 1.0 / g.n))
+    f = rng.normal(size=g.n)
     P = chain.lazy_matrix(g)
     for pi in pis:
-        dense = chain.dirichlet_form(P, f, pi)
+        dense = dirichlet_form(P, f, pi)
         assert chain.dirichlet_form_edges(g, f, pi) == pytest.approx(dense, rel=1e-12)
     assert chain.dirichlet_form_edges(g, f) == pytest.approx(
-        chain.dirichlet_form(P, f, pis[0]), rel=1e-12)
+        dirichlet_form(P, f, pis[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda: constructions.build_nohitting(8),
+                                  lambda: constructions.build_random_regular_schedule(12, 3, 2)],
+                         ids=["nohitting", "regular"])
+def test_window_dirichlet_form_matches_the_average_matrix(make):
+    """The window check's E_Pbar, the mean of the per-step edge forms, equals
+    the dense form of the window-average matrix."""
+    s = make()
+    for t1, w in ((0, 4), (3, 8), (5, 16)):
+        chk = walks.window_average_decay_check(s, t1, w, 0, s.pi)
+        rho = walks.evolve_trace(s, 0, t1)[t1] / s.pi
+        dense = dirichlet_form(schedule.window_average(s, t1, w, pi=s.pi).matrix, rho, s.pi)
+        assert chk.dirichlet_avg == pytest.approx(dense, rel=1e-12)
 
 
 def test_self_adjointness():
@@ -199,13 +225,13 @@ def test_spectral_gap_variational_characterization():
         var = chain.variance_pi(f, pi)
         if var < 1e-12:
             continue
-        ratio = chain.dirichlet_form(P, f, pi) / var
+        ratio = dirichlet_form(P, f, pi) / var
         assert ratio >= lam - 1e-9
     # the second eigenvector of P, from the pi-symmetrized matrix
     root = np.sqrt(pi)
     _, V = np.linalg.eigh((root[:, None] / root[None, :]) * P)
     f2 = V[:, -2] / root
-    ratio2 = chain.dirichlet_form(P, f2, pi) / chain.variance_pi(f2, pi)
+    ratio2 = dirichlet_form(P, f2, pi) / chain.variance_pi(f2, pi)
     assert ratio2 == pytest.approx(lam, abs=1e-9)
 
 

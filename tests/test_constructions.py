@@ -137,6 +137,16 @@ def test_nohitting_doubled_matching_cadence():
     assert dist.pi.sum() == pytest.approx(1.0)
 
 
+def test_nohitting_doubled_builds_its_base_period_once():
+    """Every generated doubled step reads one cached base period."""
+    n = 20
+    constructions._nohitting_period.cache_clear()
+    d = constructions.build_nohitting_doubled(n)
+    steps = [d.step(t) for t in range(1, 3 * n + 3)]
+    assert constructions._nohitting_period.cache_info().misses == 1
+    assert steps[-1].edge_set() == {(u, u + n) for u in range(n - 4, n)}
+
+
 def test_torus_schedule_relabeling_invariants():
     s = constructions.build_torus_schedule(2, 4, seed=9)
     g1, g2 = s.step(1), s.step(2)

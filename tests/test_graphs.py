@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynwalks import graphs
+from dynwalks import chain, graphs
 from dynwalks.errors import CapabilityError, GenerationError, GraphError
 
 
@@ -158,6 +158,13 @@ def test_random_regular_is_regular_and_deterministic():
         assert set(g1.degree) == {d}
     with pytest.raises(GraphError):
         graphs.random_regular_graph(5, 3, 0)  # odd n*d
+
+
+def test_lazy_gap_regular_sparse_path_matches_dense():
+    """Above n = 400 the gap comes from Lanczos on the CSC lazy step."""
+    g = graphs.random_regular_graph(402, 3, 1)
+    dense = chain.spectral_gap(chain.lazy_matrix(g), np.full(g.n, 1.0 / g.n))
+    assert graphs._lazy_gap_regular(g) == pytest.approx(dense, abs=1e-10)
 
 
 def test_expander_generation_gap_and_forbidden_edges():

@@ -177,7 +177,7 @@ def test_evicted_step_operators_give_the_same_results(monkeypatch, make):
     cap = 3 * schedule._nbytes(make().step_matrix(1))  # every step's operator is this size
     monkeypatch.setattr(schedule, "OPERATOR_CACHE_BYTES", cap)
     dense = _count_calls(monkeypatch, chain, "lazy_matrix")
-    csc = _count_calls(monkeypatch, schedule, "_lazy_transpose_csc")
+    csc = _count_calls(monkeypatch, chain, "lazy_transpose_csc")
     got = run()
     assert len(dense) + len(csc) > 60  # uncapped: one build per step of the period
     for a, b in zip(got, want, strict=True):
