@@ -21,7 +21,6 @@ from .errors import CapabilityError, GraphError
 from .graphs import StaticGraph
 
 STRUCTURAL_TOL = 1e-12
-SPECTRAL_TOL = 1e-9
 EXACT_CONDUCTANCE_LIMIT = 20
 _MASK_CHUNK = 1 << 16
 

@@ -144,8 +144,6 @@ def voltage_labelling(g: StaticGraph, volt: VoltageFunction) -> Labelling:
 class CutSumBounds:
     flow: float            # sum_j 1/Q([j]) = 4m sum_j 1/|d[j]| (provable, lazy)
     literal_2m: float      # simple-walk (2m) normalization, for comparison
-    reversed_flow: float   # half-sum variant, flow-normalized
-    reversed_literal: float
 
 
 def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[Labelling, CutSumBounds]:
@@ -156,14 +154,7 @@ def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[Labelling, CutSumBoun
     inv = 1.0 / lab.prefix_boundaries
     flow = float(np.sum(1.0 / lab.prefix_flows))
     literal = float(2.0 * g.m * inv.sum())
-    h = (g.n - 1 + 1) // 2  # ceil((n-1)/2): the larger half covers the total
-    fwd_half = float(inv[:h].sum())
-    rev_half = float(inv[::-1][:h].sum())
-    reversed_literal = 4.0 * g.m * max(fwd_half, rev_half)
-    reversed_flow = 2.0 * reversed_literal
-    return lab, CutSumBounds(flow=flow, literal_2m=literal,
-                             reversed_flow=reversed_flow,
-                             reversed_literal=reversed_literal)
+    return lab, CutSumBounds(flow=flow, literal_2m=literal)
 
 
 @dataclass

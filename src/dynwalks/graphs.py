@@ -278,9 +278,9 @@ def complete_prism_graph(n: int) -> StaticGraph:
 def random_regular_graph(n: int, d: int, seed) -> StaticGraph:
     """Pairing-model d-regular graph, rejecting self-loops and multi-edges.
 
-    Attempts are drawn in batches, but the graph, the attempt count before
-    ``GenerationError`` and the final state of the Generator are those of one
-    ``rng.permutation(stubs)`` per attempt.
+    Attempts are drawn in batches, but the graph and the attempt count before
+    ``GenerationError`` are those of one ``rng.permutation(stubs)`` per
+    attempt.  A Generator passed in is left past the whole batch.
     """
     if d < 1 or d >= n:
         raise GraphError("need 1 <= d < n")
@@ -293,10 +293,8 @@ def random_regular_graph(n: int, d: int, seed) -> StaticGraph:
     drawn, k = 0, min(REGULAR_BATCH_START, most)
     while drawn < REGULAR_RETRY_CAP:
         k = min(k, REGULAR_RETRY_CAP - drawn)
-        # a one-row batch never needs the rewind below
-        state = rng.bit_generator.state if k > 1 else None
-        # row i is the i-th of k successive rng.permutation(stubs) draws, with
-        # the same end state: checked on numpy 2.4.6 and guarded by
+        # row i is the i-th of k successive rng.permutation(stubs) draws:
+        # checked on numpy 2.4.6 and guarded by
         # test_random_regular_matches_2d_rejection_oracle and the golden digests
         perm = rng.permuted(tiled[:k], axis=1)
         a, b = perm[:, 0::2], perm[:, 1::2]
@@ -308,11 +306,6 @@ def random_regular_graph(n: int, d: int, seed) -> StaticGraph:
             keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=1)
             simple = (keys[:, 1:] != keys[:, :-1]).all(axis=1).nonzero()[0]
             if simple.size:
-                row = free[simple[0]]
-                if row < k - 1:
-                    # leave the Generator after the accepted draw
-                    rng.bit_generator.state = state
-                    rng.permuted(tiled[:row + 1], axis=1)
                 key = keys[simple[0]]
                 return StaticGraph(n, np.column_stack([key // n, key % n]))
         drawn += k

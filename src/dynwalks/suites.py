@@ -22,8 +22,8 @@ import numpy as np
 from . import chain, commute, constructions, graphs, schedule, walks
 from .errors import GraphError
 from .reporting import BoundReport, default_out_dir, write_report_csv
+from .walks import DECAY_TOL
 
-DECAY_TOL = 1e-10
 EXACT_TOL = 1e-9
 
 

@@ -182,34 +182,22 @@ def exact_hitting_batch(s: GraphSchedule, queries, t_max: int | None = None,
 # Monte Carlo trajectories
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1024   # a trial draws its coins for a block of steps, then its picks
-_WINDOW = 64    # steps of draws the lockstep loop holds per live trial
+_BLOCK = 64     # a trial draws its coins for a block of steps, then its picks
 _ALONE = 8      # at most this many live trials finish one at a time
-
-
-def _block(t: int, horizon: int) -> tuple[int, int]:
-    """(steps of the current block already taken, its length) at time t.
-
-    Blocks start at multiples of _BLOCK; the last one ends at the horizon.
-    """
-    done = t % _BLOCK
-    return done, min(_BLOCK, horizon - t + done)
 
 
 def _walk_alone(s: GraphSchedule, x: int, rng: np.random.Generator, t: int, horizon: int,
                 kind: str, target_mask, unseen) -> tuple[int, bool]:
     """One trial from time t on, one step at a time; returns (stop time, censored).
 
-    ``rng`` stands at the coin of step t + 1, possibly inside a block;
+    ``rng`` stands at the first coin of the block of step t + 1;
     ``unseen`` marks the vertices a cover trial has yet to visit.
     """
     remaining = 0 if unseen is None else int(unseen.sum())
     while t < horizon:
-        done, count = _block(t, horizon)
-        coins = rng.random(count - done)
-        rng.bit_generator.advance(done)  # the picks of the block's steps already taken
-        picks = rng.random(count - done)
-        for coin, pick in zip(coins.tolist(), picks.tolist()):
+        w = min(_BLOCK, horizon - t)
+        draws = rng.random(2 * w)
+        for coin, pick in zip(draws[:w].tolist(), draws[w:].tolist()):
             t += 1
             if coin >= 0.5:
                 g = s.step(t)
@@ -235,10 +223,10 @@ def monte_carlo(s: GraphSchedule, start: int, seed: int, trials: int, stop,
     contract, which fixes every stop time:
 
     - trial j draws from its own generator, ``SeedSequence(seed).spawn(trials)[j]``;
-    - it draws in blocks of steps: 1,024 coins (fewer in the last block
-      before the horizon), then as many picks.  At step t it moves when its
-      coin is >= 0.5, to neighbour ``floor(pick * deg)`` of its vertex in
-      g_t; a vertex with no neighbours keeps the walk in place;
+    - it draws one block per 64 steps, in one call: 64 coins (fewer in the
+      last block before the horizon), then as many picks.  At step t it
+      moves when its coin is >= 0.5, to neighbour ``floor(pick * deg)`` of
+      its vertex in g_t; a vertex with no neighbours keeps the walk in place;
     - all live trials share g_t and move together, one vectorized step per t;
       a finished trial leaves the live set, and the last few live trials
       finish one at a time;
@@ -271,11 +259,10 @@ def _lockstep(s: GraphSchedule, start: int, rngs: list, horizon: int, kind: str,
               target_mask, times: np.ndarray, censored: np.ndarray) -> None:
     """Move all trials from ``start`` together; fills ``times`` and ``censored``.
 
-    Each window of up to _WINDOW steps draws, per live trial, its coins and
-    its picks for those steps out of the current block: ``advance`` skips to
-    the picks and back again, so the stream is read exactly as block draws
-    would read it.  Trials that stop inside a window leave the live arrays
-    at its end.
+    Each block of up to _BLOCK steps draws, per live trial, its coins and
+    then its picks in one ``rng.random`` call.  Trials that stop inside a
+    block leave the live arrays at its end, so the last few live trials
+    start alone on a block edge.
     """
     n = s.n
     ids = np.arange(len(rngs))  # live trials
@@ -284,21 +271,14 @@ def _lockstep(s: GraphSchedule, start: int, rngs: list, horizon: int, kind: str,
         unseen = np.ones(ids.size * n, dtype=bool)  # row j: what trial j has not seen
         unseen[ids * n + start] = False
         remaining = np.full(ids.size, n - 1)
-    draws = np.empty((ids.size, _WINDOW))  # one window of coins, then of picks
+    draws = np.empty((ids.size, 2 * _BLOCK))  # one block of coins, then of picks
     t = 0
     while ids.size > _ALONE and t < horizon:
-        done, count = _block(t, horizon)
-        w = min(_WINDOW, count - done)
-        live_rngs = [rngs[j] for j in ids.tolist()]
-        for k, rng in enumerate(live_rngs):
-            rng.random(out=draws[k, :w])
+        w = min(_BLOCK, horizon - t)
+        for k, j in enumerate(ids.tolist()):
+            rngs[j].random(out=draws[k, :2 * w])
         moves = (draws[:ids.size, :w] >= 0.5).T.copy()  # moves[i]: who moves at step t + i + 1
-        for k, rng in enumerate(live_rngs):
-            rng.bit_generator.advance(count - w)
-            rng.random(out=draws[k, :w])
-            if done + w < count:
-                rng.bit_generator.advance(2**128 - count)  # back to the next coin
-        picked = draws[:ids.size, :w].T.copy()
+        picked = draws[:ids.size, w:2 * w].T.copy()
         live = np.ones(ids.size, dtype=bool)
         row = ids * n  # where each live trial's row of ``unseen`` starts
         for i in range(w):

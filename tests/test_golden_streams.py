@@ -1,7 +1,8 @@
 """Golden Monte Carlo stop-time digests: any change to a trial's stream fails here.
 
-Each trial draws from its own ``SeedSequence(seed).spawn`` child, in blocks of
-coins then picks, so its stop times are a function of the seed alone.  These
+Each trial draws from its own ``SeedSequence(seed).spawn`` child, one block
+per 64 steps (64 coins, then 64 picks), so its stop times are a function of
+the seed alone.  These
 digests hash ``times`` (dtype, shape and bytes) for fixed seeds on the
 complete-then-cycle schedule and on a generator-backed schedule.  A change
 that is meant to alter the streams re-pins them in the same change.
@@ -24,11 +25,13 @@ CASES = {
                     dict(seed=1203, trials=50, stop=("hit", 9), horizon=100_000)),
 }
 
-# computed with the one-trial-at-a-time loop, before trials moved in lockstep
+# computed with the one-trial-at-a-time oracle of tests/test_walks.py
+# (monte_carlo_one_at_a_time), not with the library, when blocks went from
+# 1,024 steps to 64
 GOLDEN = {
-    "ctc128-cover-320": "fa34fdeee3929c541563498e0800194d9c081297be3b0436a2df6f8e87b88314",
-    "ctc128-hit4-2500": "9c67c0d2d95836f42ba80c74bc8d6b79a2b1895f9b0fa7c959089662b916090c",
-    "rr16-hit-50": "71e392f2a430a3743468e2840ee17de24296b806f06ff12eec81f8a72d16e3be",
+    "ctc128-cover-320": "82c1e31bb155404d16e837e88ad283ec4c48d4880757821c53e043f7386ce86b",
+    "ctc128-hit4-2500": "03afe3e11db43a136b98ca3a09612d5af858e32a70590c8bc669063ab02a8c3a",
+    "rr16-hit-50": "15c248502f519953d4ec408f195e55e5519a6882fffaac683257c1768464646c",
 }
 
 

@@ -337,7 +337,7 @@ def _walk_one_trial(s, start, rng, kind, target_mask, horizon):
             return 0, False
     t = 0
     while t < horizon:
-        count = min(1024, horizon - t)
+        count = min(64, horizon - t)
         coins = rng.random(count)
         picks = rng.random(count)
         for i in range(count):
@@ -376,7 +376,7 @@ def monte_carlo_one_at_a_time(s, start, seed, trials, stop, horizon):
     return times, censored, mean, stderr
 
 
-HORIZONS = (1, 63, 64, 65, 1023, 1025, 2049)  # mid-window, window and block edges
+HORIZONS = (1, 63, 64, 65, 127, 128, 129, 1025)  # around 64-step block edges
 
 
 @st.composite
