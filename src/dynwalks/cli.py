@@ -34,17 +34,6 @@ from .suites import (
     run_suite,
 )
 
-# flag -> (type, meaning) of the parameters of `gen`'s builders and `commute`'s
-# graph families; a verb offers the ones its callees' signatures name
-FLAGS = {
-    "n": (int, "vertex count"), "d": (int, "degree"), "t": (int, "step budget"),
-    "c": (float, "complete-phase constant"), "dim": (int, "torus dimension"),
-    "side": (int, "torus side"), "rho": (int, "circulant connectivity parameter"),
-    "p": (float, "edge probability"), "seed": (int, "generator seed"),
-}
-DEFAULT_COMMUTE_FAMILY = "gnp_connected"
-
-
 def _positive_int(text: str) -> int:
     val = int(text)
     if val < 1:
@@ -57,6 +46,24 @@ def _positive_float(text: str) -> float:
     if not val > 0:
         raise argparse.ArgumentTypeError(f"must be > 0; got {val}")
     return val
+
+
+def _nonnegative_int(text: str) -> int:
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative int; got {val}")
+    return val
+
+
+# flag -> (type, meaning) of the parameters of `gen`'s builders and `commute`'s
+# graph families; a verb offers the ones its callees' signatures name
+FLAGS = {
+    "n": (int, "vertex count"), "d": (int, "degree"), "t": (int, "step budget"),
+    "c": (float, "complete-phase constant"), "dim": (int, "torus dimension"),
+    "side": (int, "torus side"), "rho": (int, "circulant connectivity parameter"),
+    "p": (float, "edge probability"), "seed": (_nonnegative_int, "generator seed"),
+}
+DEFAULT_COMMUTE_FAMILY = "gnp_connected"
 
 
 def _read_by(registry: dict, knob: str) -> str:
@@ -144,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--schedule", help="schedule JSON file")
     c.add_argument("--start", type=int, default=0)
     c.add_argument("--horizon", type=_positive_int, default=1_000_000)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_nonnegative_int, default=0)
     c.add_argument("--trials", type=_positive_int)
 
     v = sub.add_parser("verify", help="verify one named inequality")

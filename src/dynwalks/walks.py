@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import chain
 from .errors import GraphError, TruncationError
@@ -185,6 +186,68 @@ def exact_hitting_batch(s: GraphSchedule, queries, t_max: int | None = None,
 _BLOCK = 64     # a trial draws its coins for a block of steps, then its picks
 _ALONE = 8      # at most this many live trials finish one at a time
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+INIT_A = 0x43b0d7e5
+MULT_A = 0x931e8875
+INIT_B = 0x8b51f9dd
+MULT_B = 0x58f38ded
+MIX_MULT_L = 0xca01f9dd
+MIX_MULT_R = 0x4973f715
+MASK32 = 0xFFFFFFFF
+
+
+def _spawned_seed_words(seed: int, trials: int) -> np.ndarray:
+    """Row j: ``SeedSequence(seed).spawn(trials)[j].generate_state(4, np.uint64)``,
+    the PCG64 seed of trial j, for every j at once.
+
+    Child j's entropy is the seed's 32-bit words, then j.  So its pool is the
+    parent's ``SeedSequence(seed).pool`` with j hashed into each of its four
+    words, by the hash constants that follow the ones the parent's pool used
+    up: 4 to fill it, 12 to mix it, and 4 for each seed word past the fourth.
+    The hash runs on uint32 arrays, which wrap the way numpy's uint32_t does;
+    j must fit one word, so trials < 2**32.
+    """
+    pool = np.random.SeedSequence(seed).pool
+    words = max(1, -(-seed.bit_length() // 32))
+    hash_const = INIT_A * pow(MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & MASK32
+    j = np.arange(trials, dtype=np.uint32)
+    mixed = []
+    for word in pool.tolist():  # mix(word, hashmix(j))
+        h = j ^ np.uint32(hash_const)
+        hash_const = hash_const * MULT_A & MASK32
+        h *= np.uint32(hash_const)
+        h ^= h >> 16
+        v = np.uint32(MIX_MULT_L * word & MASK32) - np.uint32(MIX_MULT_R) * h
+        v ^= v >> 16
+        mixed.append(v)
+    hash_const = INIT_B
+    state = []
+    for i in range(8):  # generate_state: 8 uint32 words, cycling over the pool
+        v = mixed[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * MULT_B & MASK32
+        v *= np.uint32(hash_const)
+        v ^= v >> 16
+        state.append(v.astype(np.uint64))
+    # uint32 pairs read as little-endian uint64s: the first word is the low half
+    return np.stack([state[2 * k] | state[2 * k + 1] << 32 for k in range(4)], axis=1)
+
+
+class _SeedWords(ISeedSequence):
+    """One trial's seed sequence: PCG64 asks it for ``generate_state(4, np.uint64)``
+    and gets the trial's precomputed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
+    """``default_rng(SeedSequence(seed).spawn(trials)[j])`` for each trial j."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
+            for w in _spawned_seed_words(seed, trials)]
+
 
 def _walk_alone(s: GraphSchedule, x: int, rng: np.random.Generator, t: int, horizon: int,
                 kind: str, target_mask, unseen) -> tuple[int, bool]:
@@ -219,10 +282,14 @@ def monte_carlo(s: GraphSchedule, start: int, seed: int, trials: int, stop,
                 horizon: int = 1_000_000) -> MonteCarloSummary:
     """Seeded trajectory sampling; censored trials are flagged, never dropped.
 
-    ``stop`` is ("hit", target), ("cover",) or ("horizon",).  The stream
-    contract, which fixes every stop time:
+    ``stop`` is ("hit", target), ("cover",) or ("horizon",); ``seed`` is a
+    non-negative int, ``1 <= trials < 2**32`` and ``horizon >= 1``.  The
+    stream contract, which fixes every stop time:
 
-    - trial j draws from its own generator, ``SeedSequence(seed).spawn(trials)[j]``;
+    - trial j draws from its own generator,
+      ``default_rng(SeedSequence(seed).spawn(trials)[j])``; the children's
+      PCG64 seeds are hashed together, in one vectorized pass over j
+      (``_spawned_seed_words``);
     - it draws one block per 64 steps, in one call: 64 coins (fewer in the
       last block before the horizon), then as many picks.  At step t it
       moves when its coin is >= 0.5, to neighbour ``floor(pick * deg)`` of
@@ -232,8 +299,13 @@ def monte_carlo(s: GraphSchedule, start: int, seed: int, trials: int, stop,
       finish one at a time;
     - so a trial's result does not depend on how many others run, or on how.
     """
-    if trials < 1:
-        raise GraphError("need at least one trial")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise GraphError(f"seed must be a non-negative int; got {seed!r}")
+    seed = int(seed)
+    if not 1 <= trials < 2**32:
+        raise GraphError(f"trials must be in [1, 2**32); got {trials}")
+    if horizon < 1:
+        raise GraphError(f"horizon must be >= 1; got {horizon}")
     kind = stop[0]
     if kind not in ("hit", "cover", "horizon"):
         raise GraphError(f"unknown stop rule {kind!r}")
@@ -242,12 +314,11 @@ def monte_carlo(s: GraphSchedule, start: int, seed: int, trials: int, stop,
     if not 0 <= start < n:
         raise GraphError("start vertex out of range")
     target_mask = _target_mask(n, stop[1]) if kind == "hit" else None
-    children = np.random.SeedSequence(seed).spawn(trials)
     times = np.zeros(trials, dtype=np.int64)
     censored = np.zeros(trials, dtype=bool)
     if not ((kind == "hit" and target_mask[start]) or (kind == "cover" and n == 1)):
-        _lockstep(s, start, [np.random.default_rng(c) for c in children], horizon,
-                  kind, target_mask, times, censored)
+        _lockstep(s, start, _trial_rngs(seed, trials), horizon, kind, target_mask,
+                  times, censored)
     good = times[~censored]
     mean = float(good.mean()) if good.size else float("nan")
     stderr = float(good.std(ddof=1) / np.sqrt(good.size)) if good.size > 1 else float("nan")

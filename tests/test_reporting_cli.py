@@ -576,6 +576,26 @@ def test_vertices_outside_the_schedule_exit_2(tmp_path, capsys, argv, message):
     assert not list(out.iterdir())
 
 
+# a seed numpy cannot take is a usage error, before any file is written
+@pytest.mark.parametrize("argv", [
+    ["gen", "random_regular", "--n", "8", "--seed", "-1"],
+    ["commute", "--family", "gnp_connected", "--n", "6", "--seed", "-1"],
+    ["cover", "--seed", "-1"],
+])
+def test_negative_seeds_exit_2(tmp_path, capsys, argv):
+    sched = tmp_path / "cycle.json"
+    schedule.save_schedule(constructions.build_complete_then_cycle(12), sched)
+    out = tmp_path / "out"
+    out.mkdir()
+    extra = ["--schedule", str(sched)] if argv[0] == "cover" else ["--out", str(out / "x")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--seed: must be a non-negative int; got -1" in err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("verb, text, message", [
     ("mix", None, "cannot read"),
     ("mix", '{"n": 4, "mode": "bogus"}', "unknown schedule mode"),

@@ -407,7 +407,7 @@ def mc_cases(draw):
                           st.tuples(st.just("hit"), st.frozensets(vertex, min_size=1)),
                           st.just(("cover",)), st.just(("horizon",))))
     return (s, draw(vertex), stop, draw(st.integers(1, 24)), draw(st.sampled_from(HORIZONS)),
-            draw(st.integers(0, 2**32)))
+            draw(st.integers(0, 2**160)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -438,6 +438,34 @@ def test_monte_carlo_rejects_a_start_out_of_range():
     for start in (-1, 6):
         with pytest.raises(GraphError):
             walks.monte_carlo(s, start, seed=0, trials=3, stop=("cover",))
+
+
+# not trials=2**32: were its guard lost, the call would allocate 2**32 trials
+@pytest.mark.parametrize("kwargs", [
+    dict(seed=None), dict(seed=-1), dict(seed=[1, 2]), dict(seed=1.0), dict(seed=True),
+    dict(horizon=-5), dict(horizon=0), dict(trials=0),
+])
+def test_monte_carlo_rejects_inputs_it_cannot_honour(kwargs):
+    s = static(graphs.cycle_graph(6))
+    with pytest.raises(GraphError):
+        walks.monte_carlo(s, 0, **{"seed": 0, "trials": 3, "stop": ("hit", 3), **kwargs})
+
+
+# seeds on both sides of the one-word and the four-word edge
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**160), trials=st.integers(1, 5000))
+@example(seed=0, trials=1)
+@example(seed=2**32 - 1, trials=5000)
+@example(seed=2**32, trials=2)
+@example(seed=2**128 - 1, trials=300)
+@example(seed=2**128, trials=3)
+def test_spawned_seed_words_match_seed_sequence_spawn(seed, trials):
+    children = np.random.SeedSequence(seed).spawn(trials)
+    want = np.array([c.generate_state(4, np.uint64) for c in children])
+    got = walks._spawned_seed_words(seed, trials)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    for rng, child in zip(walks._trial_rngs(seed, trials), children):
+        assert np.array_equal(rng.random(200), np.random.default_rng(child).random(200))
 
 
 def test_variance_decay_and_monotonicity():
