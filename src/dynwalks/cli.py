@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("suite", help="run a named verification suite (or 'all')")
     st.add_argument("name", choices=sorted(SUITES) + ["all"])
-    st.add_argument("--sizes", type=int, nargs="+",
+    st.add_argument("--sizes", type=_positive_int, nargs="+",
                     help=f"instance sizes ({_read_by(SUITES, 'sizes')})")
     st.add_argument("--seeds", type=_positive_int,
                     help=f"number of seeded instances ({_read_by(SUITES, 'seeds')})")

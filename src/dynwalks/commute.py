@@ -19,16 +19,16 @@ from .graphs import StaticGraph, bfs_distances, edge_connectivity, is_connected
 VOLTAGE_RESIDUAL_TOL = 1e-9
 
 
-# Each public function checks connectivity once; the private helpers they
-# compose (_laplacian_pinv, _solve_voltage) assume it has been checked.
 def _require_connected(g: StaticGraph):
     if not is_connected(g):
         raise GraphError("operation requires a connected graph")
 
 
 def _laplacian_pinv(g: StaticGraph) -> np.ndarray:
-    """L+ = inv(L + J/n) - J/n for a connected g, J the all-ones matrix.  Every
-    quantity below is read off it: C_uv = 4m (L+uu + L+vv - 2 L+uv) (lazy walk)."""
+    """L+ = inv(L + J/n) - J/n, J the all-ones matrix; raises GraphError unless g
+    is connected.  Every commute, hitting and voltage quantity below is read
+    off it: C_uv = 4m (L+uu + L+vv - 2 L+uv) (lazy walk)."""
+    _require_connected(g)
     J = np.full((g.n, g.n), 1.0 / g.n)
     L = np.diag(g.degree.astype(float))
     L[g.edges[:, 0], g.edges[:, 1]] = L[g.edges[:, 1], g.edges[:, 0]] = -1.0
@@ -38,7 +38,6 @@ def _laplacian_pinv(g: StaticGraph) -> np.ndarray:
 def hitting_times_to(g: StaticGraph, target: int) -> np.ndarray:
     """Expected lazy-walk times to reach ``target`` from every vertex:
     2 (a - a[target]) with a = L+ d - 2m L+[:, target]."""
-    _require_connected(g)
     Lp = _laplacian_pinv(g)
     a = Lp @ g.degree - 2.0 * g.m * Lp[:, target]
     return 2.0 * (a - a[target])
@@ -48,14 +47,12 @@ def exact_commute(g: StaticGraph, s: int, t: int) -> float:
     """C_st = tau_{s,t} + tau_{t,s}; returns 0.0 for s == t by convention."""
     if s == t:
         return 0.0
-    _require_connected(g)
     Lp = _laplacian_pinv(g)
     return float(4.0 * g.m * (Lp[s, s] + Lp[t, t] - 2.0 * Lp[s, t]))
 
 
 def commute_matrix(g: StaticGraph) -> np.ndarray:
     """All pairwise commute times, 4m (L+uu + L+vv - 2 L+uv)."""
-    _require_connected(g)
     Lp = _laplacian_pinv(g)
     d = np.diag(Lp)
     return 4.0 * g.m * (d[:, None] + d[None, :] - 2.0 * Lp)
@@ -75,11 +72,6 @@ class VoltageFunction:
 def solve_voltage(g: StaticGraph, s: int, t: int) -> VoltageFunction:
     """The harmonic maximiser of the variational commute-time characterisation:
     g(s) = 0, g(t) = 1, harmonic elsewhere, with 1/E_P(g,g) = C_st."""
-    _require_connected(g)
-    return _solve_voltage(g, s, t)
-
-
-def _solve_voltage(g: StaticGraph, s: int, t: int) -> VoltageFunction:
     if s == t:
         raise GraphError("voltage needs distinct endpoints")
     # the potential of a unit current from t to s, scaled to 0 at s and 1 at t
@@ -120,12 +112,12 @@ def _prefix_cuts(g: StaticGraph, order: np.ndarray) -> np.ndarray:
     return np.cumsum(delta)[1:g.n]
 
 
-def _tie_rank(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Dense ranks of ``values`` in which a value within ``tol`` of its sorted
+def _tie_rank(values: np.ndarray) -> np.ndarray:
+    """Dense ranks of ``values`` in which a value within 1e-9 of its sorted
     neighbour shares that neighbour's rank, so roundoff cannot split a tie."""
     order = np.argsort(values, kind="stable")
     rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.concatenate(([0], np.cumsum(np.diff(values[order]) > tol)))
+    rank[order] = np.concatenate(([0], np.cumsum(np.diff(values[order]) > 1e-9)))
     return rank
 
 
@@ -148,8 +140,7 @@ class CutSumBounds:
 
 def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[Labelling, CutSumBounds]:
     """Voltage-ordered prefix-cut upper bounds on the lazy commute time."""
-    _require_connected(g)
-    volt = _solve_voltage(g, s, t)
+    volt = solve_voltage(g, s, t)
     lab = voltage_labelling(g, volt)
     inv = 1.0 / lab.prefix_boundaries
     flow = float(np.sum(1.0 / lab.prefix_flows))
@@ -163,17 +154,17 @@ class ConnectedLabelling:
     status: str          # "found-greedy" | "found-search" | "not-found"
 
 
-def connected_labelling(g: StaticGraph, volt: VoltageFunction,
-                        tol: float = 1e-9) -> ConnectedLabelling:
+def connected_labelling(g: StaticGraph, volt: VoltageFunction) -> ConnectedLabelling:
     """A voltage-monotone ordering whose every prefix induces a connected
     subgraph: greedy over the frontier first, exhaustive search as fallback.
 
     The ordering starts at s; its last vertex carries voltage 1 but need not
     be t itself (a pendant neighbor of t ties at voltage 1 and can only come
-    after t).  A not-found result at small n is flagged, never fabricated."""
+    after t).  Voltages within 1e-9 count as equal.  A not-found result at
+    small n is flagged, never fabricated."""
     n, s = g.n, volt.s
     gv = volt.values
-    rank = _tie_rank(gv, tol)
+    rank = _tie_rank(gv)
     order = [s]
     used = np.zeros(n, dtype=bool)
     used[s] = True
@@ -181,7 +172,7 @@ def connected_labelling(g: StaticGraph, volt: VoltageFunction,
         frontier = sorted(
             {int(w) for u in order for w in g.neighbors(u) if not used[w]},
             key=lambda w: (rank[w], w))
-        if not frontier or gv[frontier[0]] < gv[order[-1]] - tol:
+        if not frontier or gv[frontier[0]] < gv[order[-1]] - 1e-9:
             break
         pick = frontier[0]
         order.append(pick)
@@ -191,13 +182,13 @@ def connected_labelling(g: StaticGraph, volt: VoltageFunction,
 
     if n > 12:
         return ConnectedLabelling(order=None, status="not-found")
-    found = _search_labelling(g, gv, rank, s, tol)
+    found = _search_labelling(g, gv, rank, s)
     if found is not None:
         return ConnectedLabelling(order=np.array(found), status="found-search")
     return ConnectedLabelling(order=None, status="not-found")
 
 
-def _search_labelling(g: StaticGraph, gv, rank, s, tol):
+def _search_labelling(g: StaticGraph, gv, rank, s):
     n = g.n
     used = np.zeros(n, dtype=bool)
     used[s] = True
@@ -211,7 +202,7 @@ def _search_labelling(g: StaticGraph, gv, rank, s, tol):
             {int(w) for u in order for w in g.neighbors(u) if not used[w]},
             key=lambda w: (rank[w], w))
         for w in cands:
-            if gv[w] < last - tol:
+            if gv[w] < last - 1e-9:
                 continue
             used[w] = True
             order.append(w)

@@ -184,7 +184,10 @@ def edge_connectivity(g: StaticGraph) -> int:
 
 
 def _member_mask(n: int, members) -> np.ndarray:
+    """Mask of a vertex or a vertex set; raises on a member outside 0..n-1."""
     mask = np.zeros(n, dtype=bool)
+    if np.isscalar(members):
+        members = [members]
     idx = np.asarray(list(members) if not isinstance(members, np.ndarray) else members, dtype=np.int64)
     if idx.size:
         if idx.min() < 0 or idx.max() >= n:
@@ -327,35 +330,26 @@ def gnp_connected_graph(n: int, p: float = 0.5, seed=0) -> StaticGraph:
     raise GenerationError("could not draw a connected G(n,p) sample")
 
 
-def expander_graph(
-    n: int,
-    seed=0,
-    degree: int = 3,
-    gap_min: float | None = None,
-    forbidden_edges=None,
-    max_tries: int = 400,
-) -> StaticGraph:
-    """Random regular graph accepted only if connected with lazy spectral gap >= gap_min.
-
-    ``gap_min`` defaults to the size-aware threshold (0.05 up to n=32, 0.02
-    beyond, where Alon-Boppana rules out 0.05 for cubic graphs).
+def expander_graph(n: int, seed=0, forbidden_edges=None) -> StaticGraph:
+    """Random 3-regular graph accepted only if connected with lazy spectral gap
+    at least the size-aware threshold (0.05 up to n=32, 0.02 beyond, where
+    Alon-Boppana rules out 0.05 for cubic graphs); 400 samples are tried.
     ``forbidden_edges`` rejects samples containing any of the given pairs, so a
     caller can union the expander with other edges without degree collisions.
     """
-    if gap_min is None:
-        gap_min = expander_gap_threshold(n)
+    gap_min = expander_gap_threshold(n)
     if forbidden_edges is None:
         forbidden_edges = []
     forbid = {tuple(sorted(map(int, e))) for e in forbidden_edges}
-    for t in range(max_tries):
-        g = random_regular_graph(n, degree, derived_rng(_entropy_of(seed), t))
+    for t in range(400):
+        g = random_regular_graph(n, 3, derived_rng(_entropy_of(seed), t))
         if forbid and any((int(a), int(b)) in forbid for a, b in g.edges):
             continue
         if not is_connected(g):
             continue
         if _lazy_gap_regular(g) >= gap_min:
             return g
-    raise GenerationError(f"no expander with gap >= {gap_min} in {max_tries} tries")
+    raise GenerationError(f"no expander with gap >= {gap_min} in 400 tries")
 
 
 def _entropy_of(seed) -> int:

@@ -185,14 +185,13 @@ def _generator_step(n, generator, t) -> StaticGraph:
 # common-stationarity validation
 # ---------------------------------------------------------------------------
 
-def validate_common_stationary(s: GraphSchedule, horizon: int, candidate_pi=None
-                               ) -> chain.StationaryDistribution:
+def validate_common_stationary(s: GraphSchedule, horizon: int) -> chain.StationaryDistribution:
     """Certify one pi with pi P^(t) = pi for every step up to the horizon.
 
     For periodic schedules one prefix+period pass suffices and is enforced.
-    Candidate order: explicit argument, the schedule's declared pi, then (for
-    all-connected schedules with time-invariant degrees) the degree
-    stationary distribution of step 1.
+    The candidate is the schedule's declared pi or, for all-connected
+    schedules with time-invariant degrees, the degree stationary distribution
+    of step 1.
     """
     if horizon < 1:
         raise GraphError("horizon must be >= 1")
@@ -201,27 +200,27 @@ def validate_common_stationary(s: GraphSchedule, horizon: int, candidate_pi=None
     elif s.kind == "finite":
         horizon = min(horizon, s.horizon)
 
-    pi = candidate_pi if candidate_pi is not None else s.pi
+    pi = s.pi
     if pi is not None:
-        pi = np.asarray(pi, dtype=float)
         if abs(pi.sum() - 1.0) > PI_TOL or pi.min() < 0:
             raise ValidationError("candidate pi is not a probability distribution")
     else:
         g1 = s.step(1)
         if not is_connected(g1):
             raise ValidationError(
-                "step 1 is disconnected and no pi was supplied; disconnected "
+                "step 1 is disconnected and the schedule declares no pi; disconnected "
                 "schedules must declare their stationary distribution", step=1)
         pi = chain.degree_stationary(g1).pi
         ref_deg = g1.degree
         for t in range(1, horizon + 1):
             g = s.step(t)
             if not is_connected(g):
-                raise ValidationError(f"step {t} is disconnected; supply pi explicitly", step=t)
+                raise ValidationError(f"step {t} is disconnected; declare pi on the schedule",
+                                      step=t)
             if not np.array_equal(g.degree, ref_deg):
                 raise ValidationError(
                     f"degree sequence changes at step {t}; no degree-derived "
-                    "common pi exists, supply one explicitly", step=t)
+                    "common pi exists, declare one on the schedule", step=t)
 
     for t in range(1, horizon + 1):
         res = chain.pi_step_residual(s.step(t), pi)

@@ -27,7 +27,11 @@ from .walks import DECAY_TOL
 EXACT_TOL = 1e-9
 
 
-@dataclass
+# the ExperimentConfig fields a suite can read, one `dynwalks suite` flag each
+KNOBS = ("sizes", "seeds", "trials", "eps")
+
+
+@dataclass(init=False)
 class ExperimentConfig:
     """Overrides for a suite's knobs; unknown keys are rejected up front.
 
@@ -36,37 +40,32 @@ class ExperimentConfig:
     """
 
     suite: str
-    sizes: list | None = None
-    seeds: list | None = None
-    trials: int | None = None
-    horizon: int | None = None
-    steps: int | None = None
-    eps: float | None = None
-    tolerance: float | None = None
-    out: str | None = None
+    sizes: list | None
+    seeds: list | None
+    trials: int | None
+    eps: float | None
+    out: str | None
 
-    def __post_init__(self):
+    def __init__(self, suite: str, out: str | None = None, **knobs):
+        unknown = set(knobs) - set(KNOBS)
+        if unknown:
+            raise GraphError(f"unknown config keys: {sorted(unknown)}")
+        self.suite, self.out = suite, out
+        self.sizes, self.seeds, self.trials, self.eps = (knobs.get(k) for k in KNOBS)
         for name in ("sizes", "seeds"):
             val = getattr(self, name)
             if val is not None and not (isinstance(val, list) and val
                                         and all(_is_int(x) for x in val)):
                 raise GraphError(f"{name} must be a non-empty list of ints; got {val!r}")
-        for name in ("trials", "steps", "horizon"):
-            val = getattr(self, name)
-            if val is not None and not (_is_int(val) and val >= 1):
-                raise GraphError(f"{name} must be an int >= 1; got {val!r}")
+        if self.sizes is not None and min(self.sizes) < 1:
+            raise GraphError(f"sizes must be >= 1; got {self.sizes!r}")
+        if self.trials is not None and not (_is_int(self.trials) and self.trials >= 1):
+            raise GraphError(f"trials must be an int >= 1; got {self.trials!r}")
         if self.eps is not None and not (_is_real(self.eps) and self.eps > 0):
             raise GraphError(f"eps must be > 0; got {self.eps!r}")
-        if self.tolerance is not None and not (_is_real(self.tolerance)
-                                               and self.tolerance >= 0):
-            raise GraphError(f"tolerance must be >= 0; got {self.tolerance!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise GraphError(f"unknown config keys: {sorted(unknown)}")
         if "suite" not in doc:
             raise GraphError("config needs a 'suite' key")
         return cls(**doc)
@@ -74,10 +73,6 @@ class ExperimentConfig:
     def doc(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if getattr(self, f.name) is not None}
-
-
-# the ExperimentConfig fields a suite can read
-KNOBS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in ("suite", "out"))
 
 
 def _is_int(x) -> bool:
@@ -92,17 +87,17 @@ def _is_real(x) -> bool:
 # criterion 1: per-step variance decay (eq-mihai)
 # ---------------------------------------------------------------------------
 
-def suite_eq_mihai(*, seeds=range(100), steps=200, tolerance=DECAY_TOL) -> list[BoundReport]:
-    n = 32
+def suite_eq_mihai(*, seeds=range(100)) -> list[BoundReport]:
+    n, steps = 32, 200
     out = []
     for seed in seeds:
         s = constructions.build_random_regular_schedule(n, 4, seed=seed)
-        checks = walks.variance_decay_checks(s, seed % n, steps, s.pi, tol=tolerance)
+        checks = walks.variance_decay_checks(s, seed % n, steps, s.pi)
         worst = min(c.margin for c in checks)
         out.append(BoundReport(
             suite="eq-mihai", inequality_id="eq-mihai",
             instance=f"random-4-regular n={n} steps={steps} start={seed % n}",
-            lhs=-worst, rhs=0.0, tolerance=tolerance, provenance="PAPER",
+            lhs=-worst, rhs=0.0, tolerance=DECAY_TOL, provenance="PAPER",
             n=n, seed=seed, schedule_hash=schedule.schedule_hash(s),
             extra={"violations": sum(not c.ok for c in checks)}))
     return out
@@ -112,17 +107,17 @@ def suite_eq_mihai(*, seeds=range(100), steps=200, tolerance=DECAY_TOL) -> list[
 # criterion 2: pointwise deviation bound (lemma-imp)
 # ---------------------------------------------------------------------------
 
-def suite_lemma_imp(*, seeds=range(100), steps=200, tolerance=DECAY_TOL) -> list[BoundReport]:
-    n = 32
+def suite_lemma_imp(*, seeds=range(100)) -> list[BoundReport]:
+    n, steps = 32, 200
     out = []
     for seed in seeds:
         s = constructions.build_random_regular_schedule(n, 4, seed=seed)
-        checks = walks.ratio_deviation_checks(s, seed % n, steps, s.pi, tol=tolerance)
+        checks = walks.ratio_deviation_checks(s, seed % n, steps, s.pi)
         worst = min(c.margin for c in checks)
         out.append(BoundReport(
             suite="lemma-imp", inequality_id="lemma-imp",
             instance=f"random-4-regular n={n} steps={steps} start={seed % n}",
-            lhs=-worst, rhs=0.0, tolerance=tolerance, provenance="PAPER",
+            lhs=-worst, rhs=0.0, tolerance=DECAY_TOL, provenance="PAPER",
             n=n, seed=seed, schedule_hash=schedule.schedule_hash(s),
             extra={"triggered": sum(c.deviation > 0 for c in checks),
                    "violations": sum(not c.ok for c in checks)}))
@@ -157,22 +152,22 @@ def _thm_average_cases(seeds):
             yield seed, s, s.pi, seed % (3 * n), [4, 8, 16][seed % 3], seed % n
 
 
-def suite_thm_average(*, seeds=range(100), tolerance=DECAY_TOL) -> list[BoundReport]:
+def suite_thm_average(*, seeds=range(100)) -> list[BoundReport]:
     out = []
     for seed, s, pi, t1, w, start in _thm_average_cases(seeds):
-        chk = walks.window_average_decay_check(s, t1, w, start, pi, tol=tolerance)
+        chk = walks.window_average_decay_check(s, t1, w, start, pi)
         h = schedule.schedule_hash(s)
         out.append(BoundReport(
             suite="thm-average", inequality_id="thm-average",
             instance=f"{s.name} t1={t1} w={w} start={start}",
-            lhs=chk.bound, rhs=chk.var_drop, tolerance=tolerance, provenance="PAPER",
+            lhs=chk.bound, rhs=chk.var_drop, tolerance=DECAY_TOL, provenance="PAPER",
             n=s.n, seed=seed, schedule_hash=h,
             extra={"gap": chk.gap, "dirichlet_avg": chk.dirichlet_avg}))
         # second chained inequality, normalized: E_Pbar(rho) >= gap * Var(rho)
         out.append(BoundReport(
             suite="thm-average", inequality_id="thm-average-normalized",
             instance=f"{s.name} t1={t1} w={w} start={start}",
-            lhs=chk.gap * chk.var_start, rhs=chk.dirichlet_avg, tolerance=tolerance,
+            lhs=chk.gap * chk.var_start, rhs=chk.dirichlet_avg, tolerance=DECAY_TOL,
             provenance="PAPER", n=s.n, seed=seed, schedule_hash=h))
     return out
 
@@ -181,7 +176,7 @@ def suite_thm_average(*, seeds=range(100), tolerance=DECAY_TOL) -> list[BoundRep
 # criterion 4: midpoint bound (lemma-inftoell2)
 # ---------------------------------------------------------------------------
 
-def suite_midpoint(*, seeds=range(500), tolerance=DECAY_TOL) -> list[BoundReport]:
+def suite_midpoint(*, seeds=range(500)) -> list[BoundReport]:
     n = 16
     out = []
     for seed in seeds:
@@ -191,11 +186,11 @@ def suite_midpoint(*, seeds=range(500), tolerance=DECAY_TOL) -> list[BoundReport
         u, v = int(rng.integers(n)), int(rng.integers(n))
         t1 = int(rng.integers(0, 11))
         t2 = t1 + int(rng.integers(1, 31))
-        chk = walks.verify_midpoint_bound(s, u, v, t1, t2, s.pi, tol=tolerance)
+        chk = walks.verify_midpoint_bound(s, u, v, t1, t2, s.pi)
         out.append(BoundReport(
             suite="lemma-inftoell2", inequality_id="lemma-inftoell2",
             instance=f"u={u} v={v} t1={t1} t2={t2} d={d}",
-            lhs=chk.lhs, rhs=chk.rhs, tolerance=tolerance, provenance="PAPER",
+            lhs=chk.lhs, rhs=chk.rhs, tolerance=DECAY_TOL, provenance="PAPER",
             n=n, seed=seed, schedule_hash=schedule.schedule_hash(s),
             extra={"term_u": chk.term_u, "term_v": chk.term_v,
                    "alt_split_rhs": chk.alt_rhs,
@@ -207,11 +202,11 @@ def suite_midpoint(*, seeds=range(500), tolerance=DECAY_TOL) -> list[BoundReport
 # criterion 5: Cheeger sandwich and ball growth
 # ---------------------------------------------------------------------------
 
-def canonical_small_graphs(n_max: int = 8, gnp_per_n: int = 20):
-    """Deterministic library of small connected graphs: the named families at
-    every feasible size plus seeded G(n,p) samples."""
+def canonical_small_graphs():
+    """Deterministic library of small connected graphs on 3..8 vertices: the
+    named families at every feasible size plus 20 seeded G(n,p) samples each."""
     out = []
-    for n in range(3, n_max + 1):
+    for n in range(3, 9):
         out.append((f"path-{n}", graphs.path_graph(n)))
         out.append((f"cycle-{n}", graphs.cycle_graph(n)))
         out.append((f"complete-{n}", graphs.complete_graph(n)))
@@ -221,7 +216,7 @@ def canonical_small_graphs(n_max: int = 8, gnp_per_n: int = 20):
             out.append((f"complete-prism-{n}", graphs.complete_prism_graph(n)))
         if n % 3 == 0 and n >= 6:
             out.append((f"barbell-{n}", graphs.barbell_graph(n)))
-        for k in range(gnp_per_n):
+        for k in range(20):
             out.append((f"gnp-{n}-{k}", graphs.gnp_connected_graph(n, 0.5, [71, n, k])))
     return out
 
@@ -458,11 +453,11 @@ def suite_counterexamples(*, sizes=(8, 12, 16), eps=1e-9) -> list[BoundReport]:
 # criterion 9: Prop-nomixing mass pile-up
 # ---------------------------------------------------------------------------
 
-def suite_nomixing(*, sizes=(1000,), steps=None, seeds=(7,)) -> list[BoundReport]:
-    """One schedule per (size, seed); ``steps`` None runs 3 ceil(log10 n) steps."""
+def suite_nomixing(*, sizes=(1000,), seeds=(7,)) -> list[BoundReport]:
+    """One schedule per (size, seed), run for 3 ceil(log10 n) steps."""
     out = []
     for n, seed in itertools.product(sizes, seeds):
-        t = steps if steps is not None else 3 * math.ceil(math.log10(n))
+        t = 3 * math.ceil(math.log10(n))
         s = constructions.build_nomixing(n, t, seed=seed)
         h = schedule.schedule_hash(s)
         set_sizes = s.meta["set_sizes"]
@@ -500,8 +495,7 @@ def suite_nomixing(*, sizes=(1000,), steps=None, seeds=(7,)) -> list[BoundReport
 # criterion 10: commute sandwich and path tightness
 # ---------------------------------------------------------------------------
 
-def suite_commute_bounds(*, seeds=range(200), sizes=range(3, 13),
-                         tolerance=EXACT_TOL) -> list[BoundReport]:
+def suite_commute_bounds(*, seeds=range(200), sizes=range(3, 13)) -> list[BoundReport]:
     out = []
     for seed in seeds:
         n = 4 + (seed % 7)
@@ -523,11 +517,11 @@ def suite_commute_bounds(*, seeds=range(200), sizes=range(3, 13),
         out.append(BoundReport(
             suite="commute-bounds", inequality_id="cutsum-upper",
             instance=f"gnp n={n} p={p:.2f}, exhaustive ordered pairs", lhs=worst_upper,
-            rhs=0.0, tolerance=tolerance, provenance="DERIVED", n=n, seed=seed))
+            rhs=0.0, tolerance=EXACT_TOL, provenance="DERIVED", n=n, seed=seed))
         out.append(BoundReport(
             suite="commute-bounds", inequality_id="nw-lower",
             instance=f"gnp n={n} p={p:.2f}, exhaustive ordered pairs", lhs=worst_lower,
-            rhs=0.0, tolerance=tolerance, provenance="DERIVED", n=n, seed=seed))
+            rhs=0.0, tolerance=EXACT_TOL, provenance="DERIVED", n=n, seed=seed))
     for n in sizes:
         g = graphs.path_graph(n)
         expected = 4.0 * (n - 1) ** 2
@@ -639,15 +633,15 @@ def suite_circulant(*, sizes=(32, 64, 128)) -> list[BoundReport]:
 # criterion 14: cover/hit gap on complete-then-cycle
 # ---------------------------------------------------------------------------
 
-def suite_cover_hit(*, sizes=(128,), trials=200, horizon=400_000) -> list[BoundReport]:
+def suite_cover_hit(*, sizes=(128,), trials=200) -> list[BoundReport]:
     out = []
     for n in sizes:
         s = constructions.build_complete_then_cycle(n)
         h = schedule.schedule_hash(s)
         hit = walks.monte_carlo(s, 0, seed=1401, trials=trials, stop=("hit", n // 2),
-                                horizon=horizon)
+                                horizon=400_000)
         cov = walks.monte_carlo(s, 0, seed=1402, trials=trials, stop=("cover",),
-                                horizon=horizon)
+                                horizon=400_000)
         out += [
             BoundReport(
                 suite="cover-hit-gap", inequality_id="coverhit-ratio",

@@ -14,6 +14,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import chain
 from .errors import GraphError, TruncationError
+from .graphs import _member_mask
 from .schedule import GraphSchedule, window_average
 
 NEGATIVE_DUST = 1e-14
@@ -128,11 +129,8 @@ def measure_mixing(s: GraphSchedule, pi, threshold: float = 1.0 / 3.0,
 
 
 def _target_mask(n: int, target) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    if np.isscalar(target):
-        mask[int(target)] = True
-    else:
-        mask[np.asarray(list(target), dtype=np.int64)] = True
+    """Mask of a target vertex or vertex set; raises on an empty or out-of-range one."""
+    mask = _member_mask(n, target)
     if not mask.any():
         raise GraphError("empty target")
     return mask
@@ -155,6 +153,8 @@ def exact_hitting_batch(s: GraphSchedule, queries, t_max: int | None = None,
     if t_max is None:
         t_max = 200 * n * n
     k = len(queries)
+    if not k:
+        raise GraphError("no hitting queries")
     X = np.zeros((n, k))
     absorbed = np.zeros((n, k), dtype=bool)  # column j: the target of query j
     for j, (source, target) in enumerate(queries):
@@ -407,8 +407,7 @@ class DecayCheck:
     ok: bool
 
 
-def variance_decay_checks(s: GraphSchedule, p0, steps: int, pi,
-                          tol: float = DECAY_TOL) -> list[DecayCheck]:
+def variance_decay_checks(s: GraphSchedule, p0, steps: int, pi) -> list[DecayCheck]:
     """Per-step check of Var rho^(t) - Var rho^(t+1) >= E_{P^(t+1)}(rho^(t))."""
     pi = chain._pi_array(pi)
     trace = evolve_trace(s, p0, steps)
@@ -420,7 +419,7 @@ def variance_decay_checks(s: GraphSchedule, p0, steps: int, pi,
         var_next = chain.variance_pi(trace[t + 1] / pi, pi)
         margin = (var_prev - var_next) - e
         out.append(DecayCheck(t=t, var_before=var_prev, var_after=var_next,
-                              dirichlet=e, margin=margin, ok=margin >= -tol))
+                              dirichlet=e, margin=margin, ok=margin >= -DECAY_TOL))
         var_prev = var_next
     return out
 
@@ -436,8 +435,7 @@ class DeviationCheck:
     ok: bool
 
 
-def ratio_deviation_checks(s: GraphSchedule, p0, steps: int, pi,
-                           tol: float = DECAY_TOL) -> list[DeviationCheck]:
+def ratio_deviation_checks(s: GraphSchedule, p0, steps: int, pi) -> list[DeviationCheck]:
     """For each t, the strongest triggered instance of the pointwise-deviation
     bound: Var rho^(0) - Var rho^(t) >= 2 eps^2 pi(u) / t with
     eps = |rho^(t)(u) - rho^(0)(u)|."""
@@ -455,7 +453,7 @@ def ratio_deviation_checks(s: GraphSchedule, p0, steps: int, pi,
         margin = drop - bounds[u]
         out.append(DeviationCheck(t=t, u=u, deviation=float(dev[u]), var_drop=drop,
                                   bound=float(bounds[u]), margin=margin,
-                                  ok=margin >= -tol))
+                                  ok=margin >= -DECAY_TOL))
     return out
 
 
@@ -472,8 +470,7 @@ class WindowDecayCheck:
     ok: bool
 
 
-def window_average_decay_check(s: GraphSchedule, t1: int, w: int, p0, pi,
-                               tol: float = DECAY_TOL) -> WindowDecayCheck:
+def window_average_decay_check(s: GraphSchedule, t1: int, w: int, p0, pi) -> WindowDecayCheck:
     """Var rho^(t1) - Var rho^(t1+w) >= E_{Pbar}(rho^(t1), rho^(t1)) / (15 w).
 
     E_Pbar is linear in P, so it is the mean of the window's per-step edge
@@ -494,7 +491,7 @@ def window_average_decay_check(s: GraphSchedule, t1: int, w: int, p0, pi,
     margin = drop - bound
     return WindowDecayCheck(t1=t1, w=w, var_drop=drop, dirichlet_avg=e_avg, bound=bound,
                             gap=gap, var_start=var_start, margin=margin,
-                            ok=margin >= -tol)
+                            ok=margin >= -DECAY_TOL)
 
 
 @dataclass
@@ -513,8 +510,7 @@ class MidpointCheck:
     alt_ok: bool
 
 
-def verify_midpoint_bound(s: GraphSchedule, u: int, v: int, t1: int, t2: int, pi,
-                          tol: float = DECAY_TOL) -> MidpointCheck:
+def verify_midpoint_bound(s: GraphSchedule, u: int, v: int, t1: int, t2: int, pi) -> MidpointCheck:
     """|rho^[t1,t2]_{v,u} - 1| against the worse of the two half-window variances.
 
     Asserts the adjoint split at mid = floor((t1+t2)/2): the first
@@ -530,11 +526,7 @@ def verify_midpoint_bound(s: GraphSchedule, u: int, v: int, t1: int, t2: int, pi
     if not t1 < t2:
         raise GraphError("need t1 < t2")
     pi = chain._pi_array(pi)
-    n = s.n
-    e_u = np.zeros(n)
-    e_u[u] = 1.0
-    e_v = np.zeros(n)
-    e_v[v] = 1.0
+    e_u, e_v = _point_or_dist(s.n, u), _point_or_dist(s.n, v)
 
     p = _propagate(s, e_v, range(t1 + 1, t2 + 1))
     lhs = abs(p[u] / pi[u] - 1.0)
@@ -552,7 +544,7 @@ def verify_midpoint_bound(s: GraphSchedule, u: int, v: int, t1: int, t2: int, pi
         alt_u = _variance_after(e_u, range(t2, mid - 1, -1))
         alt_v = _variance_after(e_v, range(1, mid))
         alt_rhs = max(alt_u, alt_v)
-        alt_ok = alt_rhs - lhs >= -tol
+        alt_ok = alt_rhs - lhs >= -DECAY_TOL
     else:
         # the alternative convention would reference step 0; undefined here
         alt_rhs = float("nan")
@@ -560,5 +552,5 @@ def verify_midpoint_bound(s: GraphSchedule, u: int, v: int, t1: int, t2: int, pi
 
     margin = rhs - lhs
     return MidpointCheck(u=u, v=v, t1=t1, t2=t2, lhs=lhs, term_u=term_u, term_v=term_v,
-                         rhs=rhs, margin=margin, ok=margin >= -tol,
+                         rhs=rhs, margin=margin, ok=margin >= -DECAY_TOL,
                          alt_rhs=alt_rhs, alt_ok=alt_ok)

@@ -148,20 +148,20 @@ def test_criterion_14_cover_hit_gap(tmp_path):
 
 
 REDUCED = {
-    "eq-mihai": dict(seeds=[0, 1], steps=40),
-    "lemma-imp": dict(seeds=[0, 1], steps=40),
+    "eq-mihai": dict(seeds=[0, 1]),
+    "lemma-imp": dict(seeds=[0, 1]),
     "thm-average": dict(seeds=[0, 45, 75, 95]),
     "lemma-inftoell2": dict(seeds=[0, 1, 2]),
     "cheeger-ballsize": dict(seeds=[0, 1]),
     "worst-case": dict(sizes=[16], trials=200),
     "torus-scaling": dict(sizes=[4, 8]),
     "counterexamples": dict(sizes=[8, 12]),
-    "nomixing": dict(sizes=[200], steps=4),
+    "nomixing": dict(sizes=[200]),
     "commute-bounds": dict(seeds=list(range(10)), sizes=[3, 4, 5]),
     "connected-labelling": dict(),
     "eq-interesting": dict(),
     "circulant-connectivity": dict(sizes=[32, 64]),
-    "cover-hit-gap": dict(sizes=[64], trials=50, horizon=200_000),
+    "cover-hit-gap": dict(sizes=[64], trials=50),
 }
 
 

@@ -132,8 +132,7 @@ def test_nohitting_doubled_matching_cadence():
     g = d.step(1)
     b = base.step(1)
     assert g.edge_set() == b.edge_set() | {(u + n, v + n) for u, v in b.edge_set()}
-    dist = schedule.validate_common_stationary(d, horizon=2 * interval,
-                                               candidate_pi=d.pi)
+    dist = schedule.validate_common_stationary(d, horizon=2 * interval)
     assert dist.pi.sum() == pytest.approx(1.0)
 
 

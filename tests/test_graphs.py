@@ -167,15 +167,16 @@ def test_lazy_gap_regular_sparse_path_matches_dense():
     assert graphs._lazy_gap_regular(g) == pytest.approx(dense, abs=1e-10)
 
 
-def test_expander_generation_gap_and_forbidden_edges():
+def test_expander_generation_gap_and_forbidden_edges(monkeypatch):
     g = graphs.expander_graph(16, seed=5)
     assert graphs.is_connected(g)
     assert graphs._lazy_gap_regular(g) >= 0.05
     forbidden = [(0, 1), (2, 3), (4, 5)]
     g2 = graphs.expander_graph(16, seed=5, forbidden_edges=forbidden)
     assert not (set(map(tuple, forbidden)) & g2.edge_set())
-    with pytest.raises(GenerationError):
-        graphs.expander_graph(16, seed=5, gap_min=0.9, max_tries=5)
+    monkeypatch.setattr(graphs, "_lazy_gap_regular", lambda g: 0.0)  # no sample qualifies
+    with pytest.raises(GenerationError, match="in 400 tries"):
+        graphs.expander_graph(16, seed=5)
 
 
 def test_expander_threshold_is_size_aware():

@@ -96,8 +96,11 @@ def test_loglog_slope():
 def test_experiment_config_rejects_unknown_keys():
     cfg = ExperimentConfig.from_dict({"suite": "eq-mihai", "seeds": [0]})
     assert cfg.suite == "eq-mihai"
-    with pytest.raises(GraphError):
-        ExperimentConfig.from_dict({"suite": "eq-mihai", "bogus": 1})
+    for key in ("bogus", "steps", "horizon", "tolerance"):  # the last three were knobs
+        with pytest.raises(GraphError, match="unknown config keys"):
+            ExperimentConfig(suite="eq-mihai", **{key: 2})
+        with pytest.raises(GraphError, match="unknown config keys"):
+            ExperimentConfig.from_dict({"suite": "eq-mihai", key: 0})
     with pytest.raises(GraphError):
         ExperimentConfig.from_dict({"seeds": [0]})
     with pytest.raises(GraphError):
@@ -221,23 +224,22 @@ def test_cli_suite_rejects_eps_and_trials_where_no_suite_reads_them(tmp_path, ca
 
 # the knobs each suite reads; every other (suite, knob) pair must be rejected
 READS = {
-    "eq-mihai": {"seeds", "steps", "tolerance"},
-    "lemma-imp": {"seeds", "steps", "tolerance"},
-    "thm-average": {"seeds", "tolerance"},
-    "lemma-inftoell2": {"seeds", "tolerance"},
+    "eq-mihai": {"seeds"},
+    "lemma-imp": {"seeds"},
+    "thm-average": {"seeds"},
+    "lemma-inftoell2": {"seeds"},
     "cheeger-ballsize": {"seeds"},
     "worst-case": {"sizes", "eps", "trials"},
     "torus-scaling": {"sizes", "eps"},
     "counterexamples": {"sizes", "eps"},
-    "nomixing": {"sizes", "steps", "seeds"},
-    "commute-bounds": {"seeds", "sizes", "tolerance"},
+    "nomixing": {"sizes", "seeds"},
+    "commute-bounds": {"seeds", "sizes"},
     "connected-labelling": set(),
     "eq-interesting": {"sizes"},
     "circulant-connectivity": {"sizes"},
-    "cover-hit-gap": {"sizes", "trials", "horizon"},
+    "cover-hit-gap": {"sizes", "trials"},
 }
-KNOB_VALUES = {"sizes": [8], "seeds": [3], "trials": 5, "horizon": 100, "steps": 3,
-               "eps": 1e-6, "tolerance": 1e-8}
+KNOB_VALUES = {"sizes": [8], "seeds": [3], "trials": 5, "eps": 1e-6}
 
 
 # (suite, flag) pairs the CLI accepted and ignored before suites declared their knobs
@@ -247,8 +249,13 @@ CLI_UNREAD = [(name, knob) for name in sorted(READS) for knob in ("sizes", "seed
 
 def test_read_table_counts():
     assert set(READS) == set(SUITES) and set(KNOB_VALUES) == set(KNOBS)
-    assert sum(len(knobs) for knobs in READS.values()) == 29
+    assert sum(len(knobs) for knobs in READS.values()) == 20
     assert len(CLI_UNREAD) == 13
+
+
+def test_knobs_are_exactly_the_suite_flags():
+    assert KNOBS == ("sizes", "seeds", "trials", "eps")
+    assert set(KNOBS) == _flags_of(["suite", "all"], {"name"})
 
 
 @pytest.mark.parametrize("knob", sorted(KNOB_VALUES))
@@ -292,8 +299,8 @@ def test_cli_rejects_sizes_and_seeds_where_the_suite_ignores_them(tmp_path, caps
 
 @pytest.mark.parametrize("kw", [
     {"seeds": []}, {"sizes": []}, {"seeds": [0.5]}, {"sizes": (8,)}, {"seeds": [True]},
-    {"trials": 0}, {"steps": 0}, {"horizon": 0}, {"trials": 2.0},
-    {"eps": 0.0}, {"eps": -1e-9}, {"tolerance": -1e-12}, {"tolerance": float("nan")},
+    {"sizes": [0]}, {"sizes": [-4]}, {"trials": 0}, {"trials": 2.0},
+    {"eps": 0.0}, {"eps": -1e-9},
 ])
 def test_experiment_config_rejects_zero_and_empty_overrides(tmp_path, kw):
     with pytest.raises(GraphError):
@@ -302,18 +309,11 @@ def test_experiment_config_rejects_zero_and_empty_overrides(tmp_path, kw):
         ExperimentConfig.from_dict({"suite": "eq-mihai", **kw})
 
 
-def test_zero_tolerance_is_used_not_replaced(tmp_path):
-    cfg = ExperimentConfig(suite="eq-mihai", seeds=[0], steps=2, tolerance=0.0,
-                           out=str(tmp_path))
-    reports, _, _ = run_suite(cfg)
-    assert [r.tolerance for r in reports] == [0.0]
-    assert "steps=2 " in reports[0].instance
-
-
 @pytest.mark.parametrize("argv", [
     ["suite", "lemma-inftoell2", "--seeds", "0"],
     ["suite", "worst-case", "--trials", "0"],
     ["suite", "worst-case", "--eps", "0"],
+    ["suite", "worst-case", "--sizes", "0"],
     ["suite", "eq-interesting", "--sizes"],
     ["verify", "eq-mihai", "--seeds", "0"],
     ["cover", "--trials", "-1"],

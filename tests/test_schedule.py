@@ -76,16 +76,17 @@ def test_validate_degree_change_names_step():
     with pytest.raises(ValidationError) as err:
         schedule.validate_common_stationary(s, horizon=4)
     assert err.value.step == 2
-    # uniform certifies the same schedule once it is supplied
-    dist = schedule.validate_common_stationary(s, horizon=4, candidate_pi=np.full(8, 1 / 8))
+    # uniform certifies the same steps once the schedule declares it
+    s = schedule.GraphSchedule(8, cycle_runs=[(a, 1), (b, 1)], pi=np.full(8, 1 / 8))
+    dist = schedule.validate_common_stationary(s, horizon=4)
     assert dist.pi_star == pytest.approx(1 / 8)
 
 
 def test_validate_rejects_wrong_candidate():
-    s = regular_alternating()
     bad = np.array([0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+    s = schedule.GraphSchedule(8, cycle_runs=regular_alternating().cycle_runs, pi=bad)
     with pytest.raises(ValidationError) as err:
-        schedule.validate_common_stationary(s, horizon=4, candidate_pi=bad)
+        schedule.validate_common_stationary(s, horizon=4)
     assert err.value.step == 1
 
 
@@ -94,8 +95,8 @@ def test_validate_disconnected_needs_declared_pi():
     s = schedule.GraphSchedule(4, cycle_runs=[(g, 1)])
     with pytest.raises(ValidationError):
         schedule.validate_common_stationary(s, horizon=1)
-    pi = np.array([0.25, 0.25, 0.25, 0.25])
-    dist = schedule.validate_common_stationary(s, horizon=1, candidate_pi=pi)
+    s = schedule.GraphSchedule(4, cycle_runs=[(g, 1)], pi=np.full(4, 0.25))
+    dist = schedule.validate_common_stationary(s, horizon=1)
     assert dist.pi_star == 0.25
 
 

@@ -97,6 +97,13 @@ def test_exact_hitting_set_target_and_guards():
     assert pair < single
     with pytest.raises(GraphError):
         walks.exact_hitting(s, 3, {3})
+    for target in (-1, 8, {3, -1}, {3, 8}, set()):  # a target outside 0..n-1, or none
+        with pytest.raises(GraphError):
+            walks.exact_hitting(s, 0, target)
+        with pytest.raises(GraphError):
+            walks.exact_hitting_batch(s, [(0, 3), (0, target)])
+    with pytest.raises(GraphError):
+        walks.exact_hitting_batch(s, [])
 
 
 def test_exact_hitting_truncated_status():
@@ -444,6 +451,7 @@ def test_monte_carlo_rejects_a_start_out_of_range():
 @pytest.mark.parametrize("kwargs", [
     dict(seed=None), dict(seed=-1), dict(seed=[1, 2]), dict(seed=1.0), dict(seed=True),
     dict(horizon=-5), dict(horizon=0), dict(trials=0),
+    dict(stop=("hit", -1)), dict(stop=("hit", 6)), dict(stop=("hit", {2, 6})),
 ])
 def test_monte_carlo_rejects_inputs_it_cannot_honour(kwargs):
     s = static(graphs.cycle_graph(6))
@@ -493,6 +501,9 @@ def test_midpoint_bound_trivial_window_and_random():
     s = constructions.build_random_regular_schedule(16, 4, seed=6)
     chk = walks.verify_midpoint_bound(s, 0, 1, 3, 4, s.pi)
     assert chk.ok
+    for u, v in ((-1, 1), (16, 1), (0, -1), (0, 16)):
+        with pytest.raises(GraphError):
+            walks.verify_midpoint_bound(s, u, v, 3, 4, s.pi)
     rng = np.random.default_rng(11)
     for _ in range(40):
         u, v = int(rng.integers(16)), int(rng.integers(16))
