@@ -240,6 +240,8 @@ READS = {
     "cover-hit-gap": {"sizes", "trials"},
 }
 KNOB_VALUES = {"sizes": [8], "seeds": [3], "trials": 5, "eps": 1e-6}
+# former knobs, now fixed constants: every suite must reject them as unknown keys
+REMOVED_KNOB_VALUES = {"horizon": 100, "steps": 3, "tolerance": 1e-8}
 
 
 # (suite, flag) pairs the CLI accepted and ignored before suites declared their knobs
@@ -249,6 +251,7 @@ CLI_UNREAD = [(name, knob) for name in sorted(READS) for knob in ("sizes", "seed
 
 def test_read_table_counts():
     assert set(READS) == set(SUITES) and set(KNOB_VALUES) == set(KNOBS)
+    assert not set(REMOVED_KNOB_VALUES) & set(KNOBS)
     assert sum(len(knobs) for knobs in READS.values()) == 20
     assert len(CLI_UNREAD) == 13
 
@@ -258,7 +261,7 @@ def test_knobs_are_exactly_the_suite_flags():
     assert set(KNOBS) == _flags_of(["suite", "all"], {"name"})
 
 
-@pytest.mark.parametrize("knob", sorted(KNOB_VALUES))
+@pytest.mark.parametrize("knob", sorted(KNOB_VALUES | REMOVED_KNOB_VALUES))
 @pytest.mark.parametrize("name", sorted(READS))
 def test_run_suite_passes_read_knobs_and_rejects_the_rest(tmp_path, monkeypatch, name, knob):
     real = SUITES[name]
@@ -270,6 +273,11 @@ def test_run_suite_passes_read_knobs_and_rejects_the_rest(tmp_path, monkeypatch,
         return []
 
     monkeypatch.setitem(SUITES, name, recorder)
+    if knob in REMOVED_KNOB_VALUES:
+        with pytest.raises(GraphError, match="unknown config keys"):
+            ExperimentConfig(suite=name, out=str(tmp_path), **{knob: REMOVED_KNOB_VALUES[knob]})
+        assert calls == [] and not list(tmp_path.iterdir())
+        return
     cfg = ExperimentConfig(suite=name, out=str(tmp_path), **{knob: KNOB_VALUES[knob]})
     if knob in READS[name]:
         run_suite(cfg)
