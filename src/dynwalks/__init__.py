@@ -11,7 +11,6 @@ from .chain import (
     StationaryDistribution,
     lazy_matrix,
     degree_stationary,
-    inner_product_pi,
     variance_pi,
     dirichlet_form_edges,
     spectral_gap,

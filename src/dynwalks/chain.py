@@ -115,12 +115,6 @@ def detailed_balance_residual(P, pi) -> float:
     return float(np.abs(F - F.T).max())
 
 
-def inner_product_pi(f, g, pi) -> float:
-    """<f, g>_pi = sum_u f(u) g(u) pi(u)."""
-    pi = _pi_array(pi)
-    return float(np.sum(np.asarray(f, float) * np.asarray(g, float) * pi))
-
-
 def variance_pi(f, pi) -> float:
     """Var_pi f = E_pi f^2 - (E_pi f)^2; equals E_pi f^2 - 1 for likelihood ratios."""
     pi = _pi_array(pi)
@@ -181,28 +175,20 @@ def chain_eigenvalues(P, pi) -> np.ndarray:
     return np.linalg.eigvalsh(S)
 
 
-def _crossing_pairs(P, pi):
-    """Unordered pairs with positive flow and their symmetric weights pi(u)P(u,v)."""
-    pi = _pi_array(pi)
-    F = pi[:, None] * P
-    iu, iv = np.nonzero(np.triu(F + F.T, k=1) > 0)
-    w = F[iu, iv]  # equals F[iv, iu] by reversibility
-    return iu, iv, w
-
-
 def conductance(P, pi) -> float:
     """Exact conductance: exhaustive minimum over all nonempty proper subsets.
 
-    Limited to n <= 20 states; use conductance_sampled beyond that.
+    Limited to n <= 20 states.
     """
     pi = _pi_array(pi)
     n = P.shape[0]
     if n > EXACT_CONDUCTANCE_LIMIT:
         raise CapabilityError(
-            f"exhaustive conductance limited to n <= {EXACT_CONDUCTANCE_LIMIT};"
-            " conductance_sampled provides a flagged approximation"
-        )
-    iu, iv, w = _crossing_pairs(P, pi)
+            f"exhaustive conductance limited to n <= {EXACT_CONDUCTANCE_LIMIT}")
+    # unordered pairs with positive flow and their weights pi(u) P(u,v)
+    F = pi[:, None] * P
+    iu, iv = np.nonzero(np.triu(F + F.T, k=1) > 0)
+    w = F[iu, iv]  # equals F[iv, iu] by reversibility
     best = np.inf
     for lo in range(1, 1 << (n - 1), _MASK_CHUNK):
         masks = np.arange(lo, min(lo + _MASK_CHUNK, 1 << (n - 1)), dtype=np.int64)
@@ -213,34 +199,6 @@ def conductance(P, pi) -> float:
         phi = q / np.minimum(pa, 1.0 - pa)
         best = min(best, float(phi.min()))
     return best
-
-
-def conductance_sampled(P, pi, samples: int, seed) -> tuple[float, bool]:
-    """Sampled upper estimate of the conductance.
-
-    Returns ``(estimate, exact)``. The estimate is the minimum over all
-    singletons and ``samples`` random subsets, an upper bound on the true
-    conductance, so ``exact`` is always False.
-    """
-    pi = _pi_array(pi)
-    n = P.shape[0]
-    rng = np.random.default_rng(seed)
-    iu, iv, w = _crossing_pairs(P, pi)
-    best = np.inf
-    # all singletons, then random subsets
-    for u in range(n):
-        q = float(w[(iu == u) | (iv == u)].sum())
-        best = min(best, q / min(pi[u], 1.0 - pi[u]))
-    for _ in range(samples):
-        size = int(rng.integers(1, n // 2 + 1))
-        members = rng.choice(n, size=size, replace=False)
-        mask = np.zeros(n, bool)
-        mask[members] = True
-        inside = mask[iu] != mask[iv]
-        q = float(w[inside].sum())
-        pa = float(pi[mask].sum())
-        best = min(best, q / min(pa, 1.0 - pa))
-    return best, False
 
 
 def cut_profile(g: StaticGraph) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import chain
 from .errors import GraphError
-from .graphs import StaticGraph, bfs_distances, edge_connectivity, is_connected
+from .graphs import StaticGraph, _bfs, bfs_distances, edge_connectivity, is_connected
 
 VOLTAGE_RESIDUAL_TOL = 1e-9
 
@@ -24,20 +24,33 @@ def _require_connected(g: StaticGraph):
         raise GraphError("operation requires a connected graph")
 
 
+def _require_vertices(g: StaticGraph, *vertices):
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} out of range for n={g.n}")
+
+
 def _laplacian_pinv(g: StaticGraph) -> np.ndarray:
     """L+ = inv(L + J/n) - J/n, J the all-ones matrix; raises GraphError unless g
     is connected.  Every commute, hitting and voltage quantity below is read
-    off it: C_uv = 4m (L+uu + L+vv - 2 L+uv) (lazy walk)."""
-    _require_connected(g)
-    J = np.full((g.n, g.n), 1.0 / g.n)
-    L = np.diag(g.degree.astype(float))
-    L[g.edges[:, 0], g.edges[:, 1]] = L[g.edges[:, 1], g.edges[:, 0]] = -1.0
-    return np.linalg.inv(L + J) - J
+    off it: C_uv = 4m (L+uu + L+vv - 2 L+uv) (lazy walk).  A graph is
+    immutable, so L+ is computed once and kept on it, read-only."""
+    Lp = getattr(g, "_laplacian_pinv", None)
+    if Lp is None:
+        _require_connected(g)
+        J = np.full((g.n, g.n), 1.0 / g.n)
+        L = np.diag(g.degree.astype(float))
+        L[g.edges[:, 0], g.edges[:, 1]] = L[g.edges[:, 1], g.edges[:, 0]] = -1.0
+        Lp = np.linalg.inv(L + J) - J
+        Lp.setflags(write=False)
+        g._laplacian_pinv = Lp
+    return Lp
 
 
 def hitting_times_to(g: StaticGraph, target: int) -> np.ndarray:
     """Expected lazy-walk times to reach ``target`` from every vertex:
     2 (a - a[target]) with a = L+ d - 2m L+[:, target]."""
+    _require_vertices(g, target)
     Lp = _laplacian_pinv(g)
     a = Lp @ g.degree - 2.0 * g.m * Lp[:, target]
     return 2.0 * (a - a[target])
@@ -45,6 +58,7 @@ def hitting_times_to(g: StaticGraph, target: int) -> np.ndarray:
 
 def exact_commute(g: StaticGraph, s: int, t: int) -> float:
     """C_st = tau_{s,t} + tau_{t,s}; returns 0.0 for s == t by convention."""
+    _require_vertices(g, s, t)
     if s == t:
         return 0.0
     Lp = _laplacian_pinv(g)
@@ -72,17 +86,21 @@ class VoltageFunction:
 def solve_voltage(g: StaticGraph, s: int, t: int) -> VoltageFunction:
     """The harmonic maximiser of the variational commute-time characterisation:
     g(s) = 0, g(t) = 1, harmonic elsewhere, with 1/E_P(g,g) = C_st."""
+    _require_vertices(g, s, t)
     if s == t:
         raise GraphError("voltage needs distinct endpoints")
     # the potential of a unit current from t to s, scaled to 0 at s and 1 at t
     Lp = _laplacian_pinv(g)
     x = Lp[:, t] - Lp[:, s]
     vals = (x - x[s]) / (x[t] - x[s])
-    interior = np.array([v for v in range(g.n) if v not in (s, t)], dtype=np.int64)
-    P = chain.lazy_matrix(g)
-    resid = np.abs(vals - P @ vals)[interior].max() if interior.size else 0.0
-    if resid > VOLTAGE_RESIDUAL_TOL:
-        raise GraphError(f"voltage solve residual {resid:.3e} exceeds tolerance")
+    # harmonic off {s, t}: vals = P vals, with P applied over g's adjacency
+    # arrays (g is connected, so no vertex has an empty neighbour segment)
+    diag, off = chain._lazy_entries(g)
+    step = diag * vals + off * np.add.reduceat(vals[g.adj_indices], g.adj_indptr[:-1])
+    resid = np.abs(vals - step)
+    resid[[s, t]] = 0.0
+    if resid.max() > VOLTAGE_RESIDUAL_TOL:
+        raise GraphError(f"voltage solve residual {resid.max():.3e} exceeds tolerance")
     if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
         raise GraphError("voltage escaped [0, 1]")
     return VoltageFunction(values=np.clip(vals, 0.0, 1.0), s=s, t=t)
@@ -235,18 +253,18 @@ class NashWilliamsBound:
 def distance_layer_cutsets(g: StaticGraph, s: int, t: int) -> list[list[tuple[int, int]]]:
     """Canonical edge-disjoint cutsets: edges from {dist < j} to {dist >= j}
     for j = 1..dist(s,t), distances measured from s."""
+    _require_vertices(g, t)
     dist = bfs_distances(g, s)
     dt = int(dist[t])
-    cutsets: list[list[tuple[int, int]]] = [[] for _ in range(dt)]
-    for u, v in g.edges:
-        a, b = sorted((int(dist[u]), int(dist[v])))
-        if b == a + 1 and b <= dt:
-            cutsets[b - 1].append((int(u), int(v)))
-    return cutsets
+    du, dv = dist[g.edges[:, 0]], dist[g.edges[:, 1]]
+    lo, hi = np.minimum(du, dv), np.maximum(du, dv)
+    layer = np.where(hi == lo + 1, hi, 0)
+    return [list(map(tuple, g.edges[layer == j].tolist())) for j in range(1, dt + 1)]
 
 
 def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> NashWilliamsBound:
     """Lower bound on the lazy commute time from edge-disjoint separating cutsets."""
+    _require_vertices(g, s, t)
     _require_connected(g)
     seen: set[tuple[int, int]] = set()
     for j, cs in enumerate(cutsets):
@@ -265,9 +283,16 @@ def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> NashWilliams
 
 
 def _separates(g: StaticGraph, s: int, t: int, removed: set) -> bool:
-    keep = [e for e in map(tuple, g.edges.tolist()) if tuple(sorted(e)) not in removed]
-    sub = StaticGraph(g.n, keep if keep else np.empty((0, 2), np.int64))
-    return not np.isfinite(bfs_distances(sub, s)[t])
+    # mask the removed edges' adjacency entries; a pair that is no edge of g
+    # removes nothing
+    cut = np.array(sorted(removed), dtype=np.int64).reshape(-1, 2)
+    cut = cut[(cut[:, 0] >= 0) & (cut[:, 1] < g.n)]
+    cut_keys = cut[:, 0] * g.n + cut[:, 1]  # ascending, as the pairs are sorted
+    row = np.repeat(np.arange(g.n), g.degree)
+    col = g.adj_indices
+    keys = np.minimum(row, col) * g.n + np.maximum(row, col)
+    keep = np.searchsorted(cut_keys, keys) == np.searchsorted(cut_keys, keys, side="right")
+    return not np.isfinite(_bfs(g, s, keep)[t])
 
 
 def profile_bound(g: StaticGraph) -> float:

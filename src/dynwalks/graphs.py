@@ -107,16 +107,20 @@ class StaticGraph:
         return f"StaticGraph(n={self.n}, m={self.m})"
 
 
-def _bfs(g: StaticGraph, source: int) -> np.ndarray:
+def _bfs(g: StaticGraph, source: int, keep=None) -> np.ndarray:
     # level-synchronous BFS over the CSR arrays: each level gathers the
-    # neighbours of every frontier row at once; O(m) numpy work per level
+    # neighbours of every frontier row at once; O(m) numpy work per level.
+    # ``keep``, a mask over the adj_indices entries, walks only those entries.
     row = np.repeat(np.arange(g.n), g.degree)  # CSR row of each adj_indices entry
+    col = g.adj_indices
+    if keep is not None:
+        row, col = row[keep], col[keep]
     dist = np.full(g.n, np.inf)
     dist[source] = 0.0
     frontier = dist == 0.0
     level = 0.0
     while True:
-        nbrs = g.adj_indices[frontier[row]]
+        nbrs = col[frontier[row]]
         nbrs = nbrs[np.isinf(dist[nbrs])]
         if not nbrs.size:
             return dist
@@ -388,13 +392,6 @@ FAMILIES = {
 # ---------------------------------------------------------------------------
 # text format: first line "n m", then one "u v" line per edge
 # ---------------------------------------------------------------------------
-
-def write_graph_text(g: StaticGraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
-
 
 def read_graph_text(path) -> StaticGraph:
     with open(path) as fh:

@@ -152,10 +152,7 @@ def loglog_slope(sizes, values) -> tuple[float, float] | None:
     sxx = sum((xi - xbar) ** 2 for xi in x)
     slope = sum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y)) / sxx
     resid = [yi - ybar - slope * (xi - xbar) for xi, yi in zip(x, y)]
-    if k > 2:
-        se = math.sqrt(sum(r * r for r in resid) / (k - 2) / sxx)
-    else:
-        se = float("nan")
+    se = math.sqrt(sum(r * r for r in resid) / (k - 2) / sxx)
     return slope, se
 
 

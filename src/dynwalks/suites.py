@@ -52,13 +52,14 @@ class ExperimentConfig:
             raise GraphError(f"unknown config keys: {sorted(unknown)}")
         self.suite, self.out = suite, out
         self.sizes, self.seeds, self.trials, self.eps = (knobs.get(k) for k in KNOBS)
-        for name in ("sizes", "seeds"):
+        for name, low in (("sizes", 1), ("seeds", 0)):
             val = getattr(self, name)
-            if val is not None and not (isinstance(val, list) and val
-                                        and all(_is_int(x) for x in val)):
+            if val is None:
+                continue
+            if not (isinstance(val, list) and val and all(_is_int(x) for x in val)):
                 raise GraphError(f"{name} must be a non-empty list of ints; got {val!r}")
-        if self.sizes is not None and min(self.sizes) < 1:
-            raise GraphError(f"sizes must be >= 1; got {self.sizes!r}")
+            if min(val) < low:
+                raise GraphError(f"{name} must be >= {low}; got {val!r}")
         if self.trials is not None and not (_is_int(self.trials) and self.trials >= 1):
             raise GraphError(f"trials must be an int >= 1; got {self.trials!r}")
         if self.eps is not None and not (_is_real(self.eps) and self.eps > 0):

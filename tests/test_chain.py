@@ -78,7 +78,7 @@ def test_degree_stationary_examples():
         chain.degree_stationary(graphs.StaticGraph(3, []))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.sampled_from(["gnp", "regular", "isolated"]))
 def test_degree_stationary_detailed_balance(n, seed, family):
     # the certification degree_stationary no longer runs on a dense matrix
@@ -112,7 +112,7 @@ def test_inner_product_and_variance():
     g = graphs.cycle_graph(8)
     pi = chain.degree_stationary(g).pi
     ones = np.ones(8)
-    assert chain.inner_product_pi(ones, ones, pi) == pytest.approx(1.0)
+    assert np.sum(ones * ones * pi) == pytest.approx(1.0)
     assert chain.variance_pi(ones, pi) == pytest.approx(0.0)
     # point mass likelihood: variance = 1/pi(u) - 1
     rho = np.zeros(8)
@@ -133,7 +133,7 @@ def test_variance_two_formula_equivalence():
         assert chain.variance_pi(rho, pi) == pytest.approx(direct, abs=1e-12)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(3, 24), st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 3))
 def test_dirichlet_form_examples_and_equivalence(n, seed, regular, isolated):
     k2 = graphs.complete_graph(2)
@@ -184,8 +184,8 @@ def test_self_adjointness():
         pi = chain.degree_stationary(g).pi
         P = chain.lazy_matrix(g)
         f, h = rng.normal(size=g.n), rng.normal(size=g.n)
-        lhs = chain.inner_product_pi(P @ f, h, pi)
-        rhs = chain.inner_product_pi(f, P @ h, pi)
+        lhs = np.sum((P @ f) * h * pi)  # <Pf, h>_pi
+        rhs = np.sum(f * (P @ h) * pi)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -275,15 +275,12 @@ def test_conductance_exhaustive_matches_subset_scan():
         assert chain.conductance(P, pi) == pytest.approx(best, abs=1e-12)
 
 
-def test_conductance_capability_error_and_sampled_mode():
+def test_conductance_capability_error():
     g = graphs.cycle_graph(24)
     pi = chain.degree_stationary(g).pi
     P = chain.lazy_matrix(g)
     with pytest.raises(CapabilityError):
         chain.conductance(P, pi)
-    val, exact = chain.conductance_sampled(P, pi, samples=200, seed=0)
-    assert exact is False
-    assert val >= 2 / (4 * 24) / 0.5 - 1e-12  # cannot undercut the true minimum
 
 
 def test_cheeger_inequality_small_graphs():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynwalks import chain, commute, graphs
+from dynwalks import chain, commute, constructions, graphs, walks
 from dynwalks.errors import GraphError
 
 
@@ -62,7 +62,7 @@ def connected_graphs(draw):
     return graphs.gnp_connected_graph(n, p, draw(st.integers(0, 2**32 - 1)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(connected_graphs(), st.data())
 def test_pseudo_inverse_core_matches_linear_solves(g, data):
     s = data.draw(st.integers(0, g.n - 1))
@@ -86,7 +86,7 @@ def test_exact_commute_oracles():
         commute.exact_commute(graphs.StaticGraph(4, [(0, 1), (2, 3)]), 0, 2)
 
 
-def test_connectivity_checked_once_per_public_call(monkeypatch):
+def test_laplacian_pinv_computed_once_per_graph(monkeypatch):
     calls = []
 
     def counting(g):
@@ -95,12 +95,44 @@ def test_connectivity_checked_once_per_public_call(monkeypatch):
 
     monkeypatch.setattr(commute, "is_connected", counting)
     g = graphs.gnp_connected_graph(8, 0.5, 3)
-    for run in (lambda: commute.exact_commute(g, 0, 5),
-                lambda: commute.cut_sum_upper(g, 0, 5),
-                lambda: commute.commute_matrix(g)):
-        calls.clear()
-        run()
-        assert len(calls) == 1
+    commute.exact_commute(g, 0, 5)
+    commute.cut_sum_upper(g, 0, 5)
+    commute.commute_matrix(g)
+    assert calls == [g]
+    with pytest.raises(ValueError):
+        commute._laplacian_pinv(g)[0, 0] = 1.0
+    # a disconnected graph stores nothing and is checked, and rejected, every call
+    calls.clear()
+    split = graphs.StaticGraph(4, [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(GraphError):
+            commute.exact_commute(split, 0, 2)
+    assert calls == [split, split]
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+@pytest.mark.parametrize("call", [
+    lambda g, v: commute.hitting_times_to(g, v),
+    lambda g, v: commute.exact_commute(g, v, 0),
+    lambda g, v: commute.exact_commute(g, 2, v),
+    lambda g, v: commute.solve_voltage(g, 0, v),
+    lambda g, v: commute.cut_sum_upper(g, v, 4),
+    lambda g, v: commute.distance_layer_cutsets(g, 0, v),
+    lambda g, v: commute.nash_williams_lower(g, 0, v, [[(3, 4)]]),
+], ids=["hitting", "commute-s", "commute-t", "voltage", "cutsum", "layers", "nash-williams"])
+def test_commute_vertices_are_range_checked(call, bad):
+    # -1 would wrap to vertex 4 of the path, and 5 is one past its end
+    with pytest.raises(GraphError, match="out of range"):
+        call(graphs.path_graph(5), bad)
+
+
+def test_solve_voltage_rejects_a_residual_above_tolerance(monkeypatch):
+    g = graphs.path_graph(5)
+    Lp = commute._laplacian_pinv(g).copy()
+    Lp[2, 4] += 1e-3  # vertex 2's voltage is no longer the mean of its neighbours'
+    monkeypatch.setattr(commute, "_laplacian_pinv", lambda g: Lp)
+    with pytest.raises(GraphError, match="voltage solve residual"):
+        commute.solve_voltage(g, 0, 4)
 
 
 def test_hitting_times_first_step_consistency():
@@ -223,6 +255,8 @@ def test_nash_williams_path_exact_and_validation():
     assert nw.literal_2m == pytest.approx(2.0 * (n - 1) ** 2)
     with pytest.raises(GraphError):  # shared edge between cutsets
         commute.nash_williams_lower(g, 0, n - 1, [[(0, 1)], [(0, 1)]])
+    with pytest.raises(GraphError):  # no edge of g, though 0 * n + 8 is the key of (1, 2)
+        commute.nash_williams_lower(g, 0, n - 1, [[(0, 8)]])
     c6 = graphs.cycle_graph(6)
     with pytest.raises(GraphError):  # one cycle edge leaves 0 and 3 connected
         commute.nash_williams_lower(c6, 0, 3, [[(0, 1)]])
@@ -312,3 +346,57 @@ def test_near_tied_voltages_keep_their_order():
         assert np.array_equal(commute.voltage_labelling(g, moved).order, base)
         assert np.array_equal(commute.connected_labelling(g, moved).order,
                               commute.connected_labelling(g, volt).order)
+
+
+# Oracles: the edge loop distance_layer_cutsets ran before it assigned layers
+# with array ops, and the separation test that rebuilt the graph without the cut.
+def oracle_distance_layer_cutsets(g, s, t):
+    dist = graphs.bfs_distances(g, s)
+    dt = int(dist[t])
+    cutsets = [[] for _ in range(dt)]
+    for u, v in g.edges:
+        a, b = sorted((int(dist[u]), int(dist[v])))
+        if b == a + 1 and b <= dt:
+            cutsets[b - 1].append((int(u), int(v)))
+    return cutsets
+
+
+def oracle_separates(g, s, t, removed):
+    keep = [e for e in map(tuple, g.edges.tolist()) if tuple(sorted(e)) not in removed]
+    sub = graphs.StaticGraph(g.n, keep if keep else np.empty((0, 2), np.int64))
+    return not np.isfinite(graphs.bfs_distances(sub, s)[t])
+
+
+@settings(max_examples=60)
+@given(connected_graphs(), st.data())
+def test_distance_layers_and_separation_match_the_rebuilt_graph(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    t = data.draw(st.integers(0, g.n - 1))
+    assert commute.distance_layer_cutsets(g, s, t) == oracle_distance_layer_cutsets(g, s, t)
+    cut = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    removed = {(int(u), int(v)) for (u, v), c in zip(g.edges, cut) if c}
+    # pairs that are no edge of g, some outside 0..n-1, remove nothing
+    removed |= {tuple(sorted(p)) for p in data.draw(st.lists(
+        st.tuples(st.integers(-2, g.n + 2), st.integers(-2, g.n + 2)), max_size=3))}
+    assert commute._separates(g, s, t, removed) == oracle_separates(g, s, t, removed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_propagated_hitting_times_match_the_pseudo_inverse(seed):
+    g = graphs.gnp_connected_graph(12, 0.3, seed)
+    pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+    ests = walks.exact_hitting_batch(constructions.build_static(g), pairs, eps=1e-12)
+    assert {e.status for e in ests} == {"exact-to-tolerance"}
+    H = np.column_stack([commute.hitting_times_to(g, v) for v in range(g.n)])
+    want = np.array([H[u, v] for u, v in pairs])
+    got = np.array([e.lower for e in ests])
+    assert (np.abs(got - want) <= 1e-11 * want).all()  # measured: 9.5e-13 relative
+
+
+@settings(max_examples=60)
+@given(connected_graphs())
+def test_fosters_theorem(g):
+    # sum over edges of R_eff(u, v) = C_uv / 4m is n - 1
+    C = commute.commute_matrix(g)
+    r_eff = C[g.edges[:, 0], g.edges[:, 1]] / (4.0 * g.m)
+    assert r_eff.sum() == pytest.approx(g.n - 1, rel=1e-10)

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from dynwalks import graphs
 from dynwalks.errors import GenerationError
 
-SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=200)
 
 
 def oracle_edges_degree(n, edges):

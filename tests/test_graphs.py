@@ -184,10 +184,10 @@ def test_expander_threshold_is_size_aware():
     assert graphs.expander_gap_threshold(1000) == 0.02
 
 
-def test_graph_text_round_trip(tmp_path):
+def test_graph_text_round_trip(tmp_path, write_graph_text):
     g = graphs.gnp_connected_graph(9, 0.5, 6)
     path = tmp_path / "g.txt"
-    graphs.write_graph_text(g, path)
+    write_graph_text(g, path)
     h = graphs.read_graph_text(path)
     assert h == g
     first = path.read_text().splitlines()[0]

@@ -150,10 +150,10 @@ def test_cli_gen_mix_hit_cover(tmp_path):
                      "--seed", "3"]) == 0
 
 
-def test_cli_commute_on_graph_file(tmp_path):
+def test_cli_commute_on_graph_file(tmp_path, write_graph_text):
     g = graphs.circulant_graph(10, 2)
     gpath = tmp_path / "g.txt"
-    graphs.write_graph_text(g, gpath)
+    write_graph_text(g, gpath)
     out = tmp_path / "commute.csv"
     rc = cli.main(["commute", "--graph", str(gpath), "--s", "0", "--t", "5",
                    "--out", str(out)])
@@ -308,7 +308,7 @@ def test_cli_rejects_sizes_and_seeds_where_the_suite_ignores_them(tmp_path, caps
 @pytest.mark.parametrize("kw", [
     {"seeds": []}, {"sizes": []}, {"seeds": [0.5]}, {"sizes": (8,)}, {"seeds": [True]},
     {"sizes": [0]}, {"sizes": [-4]}, {"trials": 0}, {"trials": 2.0},
-    {"eps": 0.0}, {"eps": -1e-9},
+    {"eps": 0.0}, {"eps": -1e-9}, {"seeds": [-1]},
 ])
 def test_experiment_config_rejects_zero_and_empty_overrides(tmp_path, kw):
     with pytest.raises(GraphError):
@@ -503,9 +503,9 @@ def test_commute_accepts_exactly_the_flags_its_family_reads(tmp_path, capsys, fa
 @pytest.mark.parametrize("argv", [
     ["--family", "cycle"], ["--n", "6"], ["--p", "0.5"], ["--rho", "2"], ["--seed", "0"],
 ])
-def test_commute_rejects_family_flags_beside_graph(tmp_path, capsys, argv):
+def test_commute_rejects_family_flags_beside_graph(tmp_path, capsys, argv, write_graph_text):
     gpath = tmp_path / "g.txt"
-    graphs.write_graph_text(graphs.cycle_graph(5), gpath)
+    write_graph_text(graphs.cycle_graph(5), gpath)
     with pytest.raises(SystemExit) as exc:
         cli.main(["commute", "--graph", str(gpath), *argv,
                   "--out", str(tmp_path / "c.csv")])

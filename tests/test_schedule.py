@@ -23,7 +23,7 @@ def test_step_indexing_and_period():
         s.step(0)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.lists(st.integers(1, 50), max_size=6), st.lists(st.integers(1, 50), max_size=6))
 def test_step_serves_runs_like_the_expanded_list(prefix_reps, cycle_reps):
     graphs_ = [graphs.StaticGraph(4, [(0, 1 + i % 3)]) for i in range(12)]

@@ -239,7 +239,7 @@ _EDGELESS_AND_ISOLATED = schedule.GraphSchedule(
                 (_graph(schedule.SPARSE_MIN_N, 3000, 0, 1), 1)])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(s=operator_schedules(), seed=st.integers(0, 2**32))
 @example(s=_EDGELESS_AND_ISOLATED, seed=0)
 def test_step_operators_match_the_dense_lazy_matrix(s, seed):
@@ -417,7 +417,7 @@ def mc_cases(draw):
             draw(st.integers(0, 2**160)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(case=mc_cases())
 # a start inside the target; cover with n = 1
 @example(case=(static(graphs.cycle_graph(8)), 3, ("hit", frozenset({3, 5})), 5, 64, 1))
@@ -460,7 +460,7 @@ def test_monte_carlo_rejects_inputs_it_cannot_honour(kwargs):
 
 
 # seeds on both sides of the one-word and the four-word edge
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**160), trials=st.integers(1, 5000))
 @example(seed=0, trials=1)
 @example(seed=2**32 - 1, trials=5000)
