@@ -255,6 +255,8 @@ def distance_layer_cutsets(g: StaticGraph, s: int, t: int) -> list[list[tuple[in
     for j = 1..dist(s,t), distances measured from s."""
     _require_vertices(g, t)
     dist = bfs_distances(g, s)
+    if not np.isfinite(dist[t]):
+        raise GraphError(f"vertex {t} is unreachable from {s}")
     dt = int(dist[t])
     du, dv = dist[g.edges[:, 0]], dist[g.edges[:, 1]]
     lo, hi = np.minimum(du, dv), np.maximum(du, dv)
@@ -266,6 +268,7 @@ def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> NashWilliams
     """Lower bound on the lazy commute time from edge-disjoint separating cutsets."""
     _require_vertices(g, s, t)
     _require_connected(g)
+    edge_keys = g.edges[:, 0] * g.n + g.edges[:, 1]  # ascending, as g's edges are sorted
     seen: set[tuple[int, int]] = set()
     for j, cs in enumerate(cutsets):
         norm = {tuple(sorted(map(int, e))) for e in cs}
@@ -273,7 +276,13 @@ def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> NashWilliams
             raise GraphError(f"cutset {j} contains duplicate edges")
         if norm & seen:
             raise GraphError(f"cutset {j} shares edges with an earlier cutset")
-        if not _separates(g, s, t, norm):
+        cut = np.array(sorted(norm), dtype=np.int64).reshape(-1, 2)
+        cut_keys = cut[:, 0] * g.n + cut[:, 1]  # ascending, as the pairs are sorted
+        at = np.searchsorted(edge_keys, cut_keys)
+        if cut.size and (cut.min() < 0 or cut.max() >= g.n or at.max() == g.m
+                         or (edge_keys[at] != cut_keys).any()):
+            raise GraphError(f"cutset {j} holds a pair that is no edge of g")
+        if not _separates(g, s, t, cut_keys):
             raise GraphError(f"cutset {j} does not separate s from t")
         seen |= norm
     sizes = np.array([len(cs) for cs in cutsets], dtype=float)
@@ -282,12 +291,9 @@ def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> NashWilliams
     return NashWilliamsBound(flow=flow, literal_2m=literal)
 
 
-def _separates(g: StaticGraph, s: int, t: int, removed: set) -> bool:
-    # mask the removed edges' adjacency entries; a pair that is no edge of g
-    # removes nothing
-    cut = np.array(sorted(removed), dtype=np.int64).reshape(-1, 2)
-    cut = cut[(cut[:, 0] >= 0) & (cut[:, 1] < g.n)]
-    cut_keys = cut[:, 0] * g.n + cut[:, 1]  # ascending, as the pairs are sorted
+def _separates(g: StaticGraph, s: int, t: int, cut_keys: np.ndarray) -> bool:
+    # mask the adjacency entries of the edges whose ascending keys u * n + v
+    # (u < v) are ``cut_keys``
     row = np.repeat(np.arange(g.n), g.degree)
     col = g.adj_indices
     keys = np.minimum(row, col) * g.n + np.maximum(row, col)

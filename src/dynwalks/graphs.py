@@ -83,9 +83,6 @@ class StaticGraph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.adj_indices[self.adj_indptr[u]:self.adj_indptr[u + 1]]
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
-
     def csr(self) -> csr_matrix:
         data = np.ones(len(self.adj_indices), dtype=np.int32)
         return csr_matrix((data, self.adj_indices, self.adj_indptr), shape=(self.n, self.n))
@@ -130,7 +127,12 @@ def _bfs(g: StaticGraph, source: int, keep=None) -> np.ndarray:
 
 
 def is_connected(g: StaticGraph) -> bool:
-    return bool(np.isfinite(_bfs(g, 0)).all())
+    """Whether g is connected.  A graph is immutable, so the verdict is
+    computed once and kept on it."""
+    connected = getattr(g, "_connected", None)
+    if connected is None:
+        connected = g._connected = bool(np.isfinite(_bfs(g, 0)).all())
+    return connected
 
 
 def bfs_distances(g: StaticGraph, source: int) -> np.ndarray:

@@ -3,16 +3,17 @@
 A schedule serves ``step(t)`` for t >= 1.  Three kinds exist: a finite list,
 a periodic list (optionally preceded by a finite prefix), and a seeded
 generator that materializes steps on demand.  Stored steps are served
-straight from their runs; generated steps and step operators are memoized so
-repeated traversals stay cheap.
+straight from their runs; generated steps are memoized so repeated traversals
+stay cheap.
 
 A step operator is P^T, the transpose of the lazy walk matrix P of the step's
 graph, so that one step of a distribution (or of one distribution per column)
 is ``step_matrix(t) @ X``.  Its representation follows the graph's density:
 ``chain.lazy_transpose_csc`` for a large sparse graph (n >= SPARSE_MIN_N and
 at most n^2 / SPARSE_FILL nonzeros in P), the transposed view of the dense
-``chain.lazy_matrix`` otherwise.  Operators are memoized up to
-OPERATOR_CACHE_BYTES in all.
+``chain.lazy_matrix`` otherwise.  A stored step's operator is built once and
+kept, one per prefix or cycle run, so a dense one below n = SPARSE_MIN_N takes
+at most 8 n^2 bytes; a generated step's operator is built on each call.
 """
 
 from __future__ import annotations
@@ -43,18 +44,12 @@ _GRAPH_CACHE_CAP = 4096
 #   n^2/16 nonzeros at n = 192-256 and n^2/4 at n = 512;
 # - k = n (measure_mixing): CSC wins from n = 128, up to n^2/16 nonzeros at
 #   n = 192-256 and n^2/8 at n = 512;
-# - an operator built afresh each step (generated or evicted steps): CSC
+# - an operator built afresh each step (generated steps): CSC
 #   wins from n = 256-320, up to n^2/8 nonzeros at n = 512.
 # The rule below sits between the first two and the third, with a 2x margin
 # on density.
 SPARSE_MIN_N = 192
 SPARSE_FILL = 32
-# Bytes of step operators one schedule keeps (CSC data + indices + indptr, or
-# a dense operator's nbytes); the least recently used go first.  It holds the
-# whole period of the long-period example schedules with room to spare:
-# build_nohitting(256)'s 768 CSC operators take about 4.9 MB and
-# build_nohitting(48)'s 144 dense ones 2.7 MB.
-OPERATOR_CACHE_BYTES = 16 << 20
 
 
 class GraphSchedule:
@@ -86,8 +81,7 @@ class GraphSchedule:
             if rep < 1:
                 raise GraphError("run repeat counts must be >= 1")
         self._graphs = OrderedDict()  # generator steps only
-        self._operators = OrderedDict()
-        self._operator_bytes = 0
+        self._operators = {}  # stored steps only
         # cumulative run ends: step t lies in the first run whose end is >= t
         self._prefix_ends = list(accumulate(rep for _, rep in self.prefix_runs))
         self._cycle_ends = list(accumulate(rep for _, rep in self.cycle_runs or []))
@@ -139,34 +133,25 @@ class GraphSchedule:
         return g
 
     def step_matrix(self, t: int) -> np.ndarray | sparse.csc_array:
-        """P^T for the lazy walk matrix P of step t, memoized: the CSC
+        """P^T for the lazy walk matrix P of step t: the CSC
         ``chain.lazy_transpose_csc`` when n >= SPARSE_MIN_N and P's n + 2m
         nonzeros are at most n^2 / SPARSE_FILL, else the transposed view of
-        the dense ``chain.lazy_matrix``."""
+        the dense ``chain.lazy_matrix``.  Kept for a stored step, built on
+        each call for a generated one."""
         key = self.step_key(t)
-        got = self._operators.get(key)
-        if got is not None:
-            self._operators.move_to_end(key)
-            return got
-        g, n = self.step(t), self.n
-        if n >= SPARSE_MIN_N and (n + 2 * g.m) * SPARSE_FILL <= n * n:
-            op = chain.lazy_transpose_csc(g)
-        else:
-            op = chain.lazy_matrix(g).T
-        self._operators[key] = op
-        self._operator_bytes += _nbytes(op)
-        while self._operator_bytes > OPERATOR_CACHE_BYTES and len(self._operators) > 1:
-            self._operator_bytes -= _nbytes(self._operators.popitem(last=False)[1])
+        op = self._operators.get(key)
+        if op is None:
+            g, n = self.step(t), self.n
+            if n >= SPARSE_MIN_N and (n + 2 * g.m) * SPARSE_FILL <= n * n:
+                op = chain.lazy_transpose_csc(g)
+            else:
+                op = chain.lazy_matrix(g).T
+            if key[0] != "g":
+                self._operators[key] = op
         return op
 
     def __repr__(self):
         return f"GraphSchedule(n={self.n}, kind={self.kind!r}, name={self.name!r})"
-
-
-def _nbytes(op) -> int:
-    if isinstance(op, np.ndarray):
-        return op.nbytes
-    return op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
 
 
 def _generator_step(n, generator, t) -> StaticGraph:

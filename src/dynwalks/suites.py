@@ -65,12 +65,6 @@ class ExperimentConfig:
         if self.eps is not None and not (_is_real(self.eps) and self.eps > 0):
             raise GraphError(f"eps must be > 0; got {self.eps!r}")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if "suite" not in doc:
-            raise GraphError("config needs a 'suite' key")
-        return cls(**doc)
-
     def doc(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if getattr(self, f.name) is not None}

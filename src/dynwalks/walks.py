@@ -527,22 +527,23 @@ def verify_midpoint_bound(s: GraphSchedule, u: int, v: int, t1: int, t2: int, pi
         raise GraphError("need t1 < t2")
     pi = chain._pi_array(pi)
     e_u, e_v = _point_or_dist(s.n, u), _point_or_dist(s.n, v)
-
-    p = _propagate(s, e_v, range(t1 + 1, t2 + 1))
-    lhs = abs(p[u] / pi[u] - 1.0)
-
     mid = (t1 + t2) // 2
 
-    def _variance_after(p_start, ts):
-        return chain.variance_pi(_propagate(s, p_start, ts) / pi, pi)
+    def _variance(p):
+        return chain.variance_pi(p / pi, pi)
 
-    term_v = _variance_after(e_v, range(t1 + 1, mid + 1))
-    term_u = _variance_after(e_u, range(t2, mid, -1))
+    # the lhs continues the v side past mid to t2, and the alternative split
+    # continues the u side through step mid
+    p_v = _propagate(s, e_v, range(t1 + 1, mid + 1))
+    p_u = _propagate(s, e_u, range(t2, mid, -1))
+    p = _propagate(s, p_v, range(mid + 1, t2 + 1))
+    lhs = abs(p[u] / pi[u] - 1.0)
+    term_v, term_u = _variance(p_v), _variance(p_u)
     rhs = max(term_u, term_v)
 
     if mid >= 1:
-        alt_u = _variance_after(e_u, range(t2, mid - 1, -1))
-        alt_v = _variance_after(e_v, range(1, mid))
+        alt_u = _variance(_propagate(s, p_u, (mid,)))
+        alt_v = _variance(_propagate(s, e_v, range(1, mid)))
         alt_rhs = max(alt_u, alt_v)
         alt_ok = alt_rhs - lhs >= -DECAY_TOL
     else:

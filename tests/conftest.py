@@ -17,3 +17,9 @@ def write_graph_text():
             for u, v in g.edges:
                 fh.write(f"{u} {v}\n")
     return write
+
+
+@pytest.fixture
+def edge_set():
+    """The edges of a StaticGraph as a set of (u, v) pairs with u < v."""
+    return lambda g: {(int(u), int(v)) for u, v in g.edges}

@@ -257,6 +257,9 @@ def test_nash_williams_path_exact_and_validation():
         commute.nash_williams_lower(g, 0, n - 1, [[(0, 1)], [(0, 1)]])
     with pytest.raises(GraphError):  # no edge of g, though 0 * n + 8 is the key of (1, 2)
         commute.nash_williams_lower(g, 0, n - 1, [[(0, 8)]])
+    for pair in ((0, 99), (0, 4)):  # no edge of g beside a cut edge: once counted in the size
+        with pytest.raises(GraphError, match="no edge of g"):
+            commute.nash_williams_lower(g, 0, n - 1, [[(2, 3), pair]])
     c6 = graphs.cycle_graph(6)
     with pytest.raises(GraphError):  # one cycle edge leaves 0 and 3 connected
         commute.nash_williams_lower(c6, 0, 3, [[(0, 1)]])
@@ -274,6 +277,23 @@ def test_distance_layer_cutsets_are_valid_and_bound():
         assert len(cuts) >= 1
         nw = commute.nash_williams_lower(g, s, t, cuts)
         assert nw.flow <= commute.exact_commute(g, s, t) + 1e-9
+    with pytest.raises(GraphError, match="unreachable"):
+        commute.distance_layer_cutsets(graphs.StaticGraph(4, [(0, 1), (2, 3)]), 0, 3)
+
+
+def test_nash_williams_checks_connectivity_once_per_graph(monkeypatch):
+    bfs = []
+    real = graphs._bfs
+
+    def counting(g, source, keep=None):
+        bfs.append(keep is None)
+        return real(g, source, keep)
+
+    monkeypatch.setattr(graphs, "_bfs", counting)
+    g = graphs.cycle_graph(6)
+    for _ in range(3):
+        assert commute.nash_williams_lower(g, 0, 3, [[(0, 1), (3, 4)]]).flow == 12.0
+    assert bfs == [True]  # commute's masked BFS is bound at import and not counted here
 
 
 def test_full_sandwich_random_graphs():
@@ -374,11 +394,17 @@ def test_distance_layers_and_separation_match_the_rebuilt_graph(g, data):
     t = data.draw(st.integers(0, g.n - 1))
     assert commute.distance_layer_cutsets(g, s, t) == oracle_distance_layer_cutsets(g, s, t)
     cut = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
-    removed = {(int(u), int(v)) for (u, v), c in zip(g.edges, cut) if c}
-    # pairs that are no edge of g, some outside 0..n-1, remove nothing
-    removed |= {tuple(sorted(p)) for p in data.draw(st.lists(
-        st.tuples(st.integers(-2, g.n + 2), st.integers(-2, g.n + 2)), max_size=3))}
-    assert commute._separates(g, s, t, removed) == oracle_separates(g, s, t, removed)
+    removed = [(int(u), int(v)) for (u, v), c in zip(g.edges, cut) if c]
+    if oracle_separates(g, s, t, set(removed)):
+        assert commute.nash_williams_lower(g, s, t, [removed]).flow == 4.0 * g.m / len(removed)
+    else:
+        with pytest.raises(GraphError, match="does not separate"):
+            commute.nash_williams_lower(g, s, t, [removed])
+    # a pair that is no edge of g, perhaps outside 0..n-1, is rejected
+    pair = data.draw(st.tuples(st.integers(-2, g.n + 2), st.integers(-2, g.n + 2)))
+    if tuple(sorted(pair)) not in set(map(tuple, g.edges.tolist())):
+        with pytest.raises(GraphError, match="no edge of g"):
+            commute.nash_williams_lower(g, s, t, [removed + [pair]])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -5,13 +5,13 @@ from dynwalks import chain, constructions, graphs, schedule, walks
 from dynwalks.errors import GraphError
 
 
-def test_expander_matching_structure():
+def test_expander_matching_structure(edge_set):
     s = constructions.build_expander_matching(32, seed=0)
     odd = s.step(1)
     even = s.step(2)
     assert set(odd.degree) == {3}
     assert set(even.degree) == {1}
-    assert even.edge_set() == {(i, i + 16) for i in range(16)}
+    assert edge_set(even) == {(i, i + 16) for i in range(16)}
     # odd steps are disconnected across the halves
     assert not graphs.is_connected(odd)
     assert all(int(u < 16) == int(v < 16) for u, v in odd.edges)
@@ -120,30 +120,30 @@ def test_nohitting_period_union_connected():
         assert graphs.is_connected(union)
 
 
-def test_nohitting_doubled_matching_cadence():
+def test_nohitting_doubled_matching_cadence(edge_set):
     n = 8
     d = constructions.build_nohitting_doubled(n)
     interval = 3 * n + 2
     m1 = d.step(interval)
-    assert m1.edge_set() == {(u, u + n) for u in range(4, 8)}
+    assert edge_set(m1) == {(u, u + n) for u in range(4, 8)}
     assert d.step(2 * interval) == m1
     # non-matching steps are two disjoint copies of the base schedule
     base = constructions.build_nohitting(n)
     g = d.step(1)
     b = base.step(1)
-    assert g.edge_set() == b.edge_set() | {(u + n, v + n) for u, v in b.edge_set()}
+    assert edge_set(g) == edge_set(b) | {(u + n, v + n) for u, v in edge_set(b)}
     dist = schedule.validate_common_stationary(d, horizon=2 * interval)
     assert dist.pi.sum() == pytest.approx(1.0)
 
 
-def test_nohitting_doubled_builds_its_base_period_once():
+def test_nohitting_doubled_builds_its_base_period_once(edge_set):
     """Every generated doubled step reads one cached base period."""
     n = 20
     constructions._nohitting_period.cache_clear()
     d = constructions.build_nohitting_doubled(n)
     steps = [d.step(t) for t in range(1, 3 * n + 3)]
     assert constructions._nohitting_period.cache_info().misses == 1
-    assert steps[-1].edge_set() == {(u, u + n) for u in range(n - 4, n)}
+    assert edge_set(steps[-1]) == {(u, u + n) for u in range(n - 4, n)}
 
 
 def test_torus_schedule_relabeling_invariants():

@@ -5,10 +5,10 @@ from dynwalks import chain, graphs
 from dynwalks.errors import CapabilityError, GenerationError, GraphError
 
 
-def test_static_graph_normalizes_edges():
+def test_static_graph_normalizes_edges(edge_set):
     g = graphs.StaticGraph(4, [(2, 1), (1, 2), (0, 3)])
     assert g.m == 2
-    assert g.edge_set() == {(1, 2), (0, 3)}
+    assert edge_set(g) == {(1, 2), (0, 3)}
     assert list(g.degree) == [1, 1, 1, 1]
 
 
@@ -132,7 +132,7 @@ def test_edge_connectivity_matches_brute_force_on_random_graphs():
         assert graphs.edge_connectivity(g) <= g.min_degree()
 
 
-def test_generate_families():
+def test_generate_families(edge_set):
     c = graphs.FAMILIES["cycle"](n=4)
     assert c.m == 4 and set(c.degree) == {2}
     t = graphs.torus_graph([4, 4])
@@ -140,7 +140,7 @@ def test_generate_families():
     b = graphs.FAMILIES["barbell"](n=9)
     assert b.n == 9 and graphs.is_connected(b)
     # two K3 blocks plus the connecting path
-    assert {(0, 1), (0, 2), (1, 2), (6, 7), (6, 8), (7, 8)} <= b.edge_set()
+    assert {(0, 1), (0, 2), (1, 2), (6, 7), (6, 8), (7, 8)} <= edge_set(b)
     prism = graphs.FAMILIES["complete_prism"](n=8)
     assert set(prism.degree) == {4}
 
@@ -167,13 +167,13 @@ def test_lazy_gap_regular_sparse_path_matches_dense():
     assert graphs._lazy_gap_regular(g) == pytest.approx(dense, abs=1e-10)
 
 
-def test_expander_generation_gap_and_forbidden_edges(monkeypatch):
+def test_expander_generation_gap_and_forbidden_edges(monkeypatch, edge_set):
     g = graphs.expander_graph(16, seed=5)
     assert graphs.is_connected(g)
     assert graphs._lazy_gap_regular(g) >= 0.05
     forbidden = [(0, 1), (2, 3), (4, 5)]
     g2 = graphs.expander_graph(16, seed=5, forbidden_edges=forbidden)
-    assert not (set(map(tuple, forbidden)) & g2.edge_set())
+    assert not (set(map(tuple, forbidden)) & edge_set(g2))
     monkeypatch.setattr(graphs, "_lazy_gap_regular", lambda g: 0.0)  # no sample qualifies
     with pytest.raises(GenerationError, match="in 400 tries"):
         graphs.expander_graph(16, seed=5)

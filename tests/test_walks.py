@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -151,42 +153,44 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_long_period_builds_each_step_operator_once(monkeypatch):
-    """nohitting(48) has period 144: two periods of hitting build 144 operators."""
+    """nohitting(48) has period 144: two traversals of two periods of hitting
+    build 144 operators."""
     builds = _count_calls(monkeypatch, chain, "lazy_matrix")
     s = constructions.build_nohitting(48)
-    est = walks.exact_hitting(s, 0, set(range(44, 48)), t_max=288)
-    assert est.T == 288
+    for _ in range(2):
+        est = walks.exact_hitting(s, 0, set(range(44, 48)), t_max=288)
+        assert est.T == 288
     assert len(builds) == 144
 
 
-def _periodic_regular(n, period):
-    return schedule.GraphSchedule(
-        n, cycle_runs=[(graphs.random_regular_graph(n, 3, seed), 1) for seed in range(period)])
+GENERATED_STEPS = 60
 
 
-@pytest.mark.parametrize("make", [lambda: constructions.build_nohitting(16),
-                                  lambda: _periodic_regular(schedule.SPARSE_MIN_N, 6)],
-                         ids=["dense", "csc"])
-def test_evicted_step_operators_give_the_same_results(monkeypatch, make):
-    """A byte cap of three operators rebuilds evicted steps; every output is
-    bit-identical to the uncapped run's."""
+@pytest.mark.parametrize("n", [32, schedule.SPARSE_MIN_N], ids=["dense", "csc"])
+def test_generated_step_operators_match_stored_ones(monkeypatch, n):
+    """A generator schedule builds a step's operator on every call and keeps
+    none; a finite schedule of its first T graphs keeps one per step.  Every
+    output of the two is bit-identical."""
+    T = GENERATED_STEPS
+    gen = constructions.build_random_regular_schedule(n, 4, seed=n)
+    stored = schedule.GraphSchedule(n, prefix_runs=[(gen.step(t), 1) for t in range(1, T + 1)])
+    pi = np.full(n, 1.0 / n)
 
-    def run():
-        s = make()
-        n = s.n
-        pi = np.full(n, 1.0 / n) if s.pi is None else s.pi
-        trace = walks.evolve_trace(s, 0, 60)
-        hits = walks.exact_hitting_batch(s, [(0, n - 1), (1, {2, 3})], t_max=200)
+    def run(s):
+        trace = walks.evolve_trace(s, 0, T)
+        hits = walks.exact_hitting_batch(s, [(0, n - 1), (1, {2, 3})], t_max=T)
         return (np.array(trace), np.array([(e.lower, e.residual_mass, e.T) for e in hits]),
-                walks.measure_mixing(s, pi))
+                walks.measure_mixing(s, pi, horizon=T))
 
-    want = run()
-    cap = 3 * schedule._nbytes(make().step_matrix(1))  # every step's operator is this size
-    monkeypatch.setattr(schedule, "OPERATOR_CACHE_BYTES", cap)
-    dense = _count_calls(monkeypatch, chain, "lazy_matrix")
-    csc = _count_calls(monkeypatch, chain, "lazy_transpose_csc")
-    got = run()
-    assert len(dense) + len(csc) > 60  # uncapped: one build per step of the period
+    want = run(stored)
+    build = chain.lazy_matrix if n < schedule.SPARSE_MIN_N else chain.lazy_transpose_csc
+    assert isinstance(stored.step_matrix(1), np.ndarray if n < schedule.SPARSE_MIN_N
+                      else sparse.csc_array)
+    builds = _count_calls(monkeypatch, chain, build.__name__)
+    got = run(gen)
+    assert len(builds) == 2 * T + want[2]  # trace and hitting batch, then mixing
+    assert gen._operators == {}
+    assert len(stored._operators) == T
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
 
@@ -510,6 +514,55 @@ def test_midpoint_bound_trivial_window_and_random():
         t1 = int(rng.integers(0, 8))
         t2 = t1 + int(rng.integers(1, 20))
         assert walks.verify_midpoint_bound(s, u, v, t1, t2, s.pi).ok
+
+
+def oracle_midpoint_bound(s, u, v, t1, t2, pi):
+    """verify_midpoint_bound as five separate propagations from the point
+    starts, before the v and u sides shared their prefixes."""
+    if not t1 < t2:
+        raise GraphError("need t1 < t2")
+    pi = chain._pi_array(pi)
+    e_u, e_v = walks._point_or_dist(s.n, u), walks._point_or_dist(s.n, v)
+    p = walks._propagate(s, e_v, range(t1 + 1, t2 + 1))
+    lhs = abs(p[u] / pi[u] - 1.0)
+    mid = (t1 + t2) // 2
+
+    def variance_after(p_start, ts):
+        return chain.variance_pi(walks._propagate(s, p_start, ts) / pi, pi)
+
+    term_v = variance_after(e_v, range(t1 + 1, mid + 1))
+    term_u = variance_after(e_u, range(t2, mid, -1))
+    rhs = max(term_u, term_v)
+    if mid >= 1:
+        alt_u = variance_after(e_u, range(t2, mid - 1, -1))
+        alt_v = variance_after(e_v, range(1, mid))
+        alt_rhs = max(alt_u, alt_v)
+        alt_ok = alt_rhs - lhs >= -walks.DECAY_TOL
+    else:
+        alt_rhs, alt_ok = float("nan"), True
+    margin = rhs - lhs
+    return walks.MidpointCheck(u=u, v=v, t1=t1, t2=t2, lhs=lhs, term_u=term_u, term_v=term_v,
+                               rhs=rhs, margin=margin, ok=margin >= -walks.DECAY_TOL,
+                               alt_rhs=alt_rhs, alt_ok=alt_ok)
+
+
+_MIDPOINT_SCHEDULES = {"generated": constructions.build_random_regular_schedule(16, 4, seed=6),
+                       "stored": constructions.build_nohitting(16)}
+
+
+@settings(max_examples=80)
+@given(kind=st.sampled_from(sorted(_MIDPOINT_SCHEDULES)), u=st.integers(0, 15),
+       v=st.integers(0, 15), t1=st.integers(0, 12), w=st.integers(1, 24))
+@example(kind="generated", u=0, v=1, t1=0, w=1)  # mid = 0: no alternative split
+@example(kind="stored", u=3, v=3, t1=0, w=2)
+@example(kind="stored", u=2, v=9, t1=7, w=1)
+def test_midpoint_bound_matches_the_five_pass_oracle(kind, u, v, t1, w):
+    s = _MIDPOINT_SCHEDULES[kind]
+    got = walks.verify_midpoint_bound(s, u, v, t1, t1 + w, s.pi)
+    want = oracle_midpoint_bound(s, u, v, t1, t1 + w, s.pi)
+    for f in dataclasses.fields(walks.MidpointCheck):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b or (a != a and b != b), f.name  # NaN equals NaN
 
 
 def test_midpoint_bound_decays_on_static_expander():
