@@ -175,6 +175,15 @@ def chain_eigenvalues(P, pi) -> np.ndarray:
     return np.linalg.eigvalsh(S)
 
 
+def _subset_chunks(n: int, iu, iv, stop: int):
+    """The masks 1 .. stop - 1 of vertex subsets, in chunks of _MASK_CHUNK;
+    per chunk, each mask's crossing indicators for the pairs (iu, iv) and its
+    n vertex bits, one row per mask."""
+    for lo in range(1, stop, _MASK_CHUNK):
+        masks = np.arange(lo, min(lo + _MASK_CHUNK, stop), dtype=np.int64)[:, None]
+        yield ((masks >> iu) ^ (masks >> iv)) & 1, (masks >> np.arange(n)) & 1
+
+
 def conductance(P, pi) -> float:
     """Exact conductance: exhaustive minimum over all nonempty proper subsets.
 
@@ -190,13 +199,10 @@ def conductance(P, pi) -> float:
     iu, iv = np.nonzero(np.triu(F + F.T, k=1) > 0)
     w = F[iu, iv]  # equals F[iv, iu] by reversibility
     best = np.inf
-    for lo in range(1, 1 << (n - 1), _MASK_CHUNK):
-        masks = np.arange(lo, min(lo + _MASK_CHUNK, 1 << (n - 1)), dtype=np.int64)
-        cross = ((masks[:, None] >> iu) ^ (masks[:, None] >> iv)) & 1
-        q = cross @ w
-        bits = (masks[:, None] >> np.arange(n)) & 1
+    # a subset and its complement share a conductance: the masks leave vertex n-1 out
+    for cross, bits in _subset_chunks(n, iu, iv, 1 << (n - 1)):
         pa = bits @ pi
-        phi = q / np.minimum(pa, 1.0 - pa)
+        phi = (cross @ w) / np.minimum(pa, 1.0 - pa)
         best = min(best, float(phi.min()))
     return best
 
@@ -206,12 +212,7 @@ def cut_profile(g: StaticGraph) -> np.ndarray:
     n = g.n
     if n > EXACT_CONDUCTANCE_LIMIT:
         raise CapabilityError(f"exact profile limited to n <= {EXACT_CONDUCTANCE_LIMIT}")
-    iu, iv = g.edges[:, 0], g.edges[:, 1]
     best = np.full(n + 1, np.inf)
-    for lo in range(1, (1 << n) - 1, _MASK_CHUNK):
-        masks = np.arange(lo, min(lo + _MASK_CHUNK, (1 << n) - 1), dtype=np.int64)
-        cross = ((masks[:, None] >> iu) ^ (masks[:, None] >> iv)) & 1
-        cuts = cross.sum(axis=1)
-        sizes = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
-        np.minimum.at(best, sizes, cuts)
+    for cross, bits in _subset_chunks(n, g.edges[:, 0], g.edges[:, 1], (1 << n) - 1):
+        np.minimum.at(best, bits.sum(axis=1), cross.sum(axis=1))
     return best

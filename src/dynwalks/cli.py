@@ -17,7 +17,7 @@ import sys
 
 from . import commute as commute_mod
 from . import constructions, graphs, schedule, walks
-from .errors import GraphError
+from .errors import GenerationError, GraphError
 from .reporting import (
     BoundReport,
     default_out_dir,
@@ -112,7 +112,7 @@ def _read_file(ap, target: str, read, path: str):
     """``read(path)``; a missing, unreadable or malformed file exits with status 2."""
     try:
         return read(path)
-    except (OSError, ValueError, KeyError, TypeError) as err:
+    except (OSError, ValueError, KeyError, TypeError, GenerationError) as err:
         ap.error(f"{target}: cannot read {path}: {err}")
 
 

@@ -151,35 +151,38 @@ def voltage_labelling(g: StaticGraph, volt: VoltageFunction) -> Labelling:
 
 
 @dataclass
-class CutSumBounds:
-    flow: float            # sum_j 1/Q([j]) = 4m sum_j 1/|d[j]| (provable, lazy)
-    literal_2m: float      # simple-walk (2m) normalization, for comparison
+class CutBound:
+    flow: float        # sum_j 1/Q(cut j) = 4m sum_j 1/|cut j|: the lazy-chain bound
+    literal_2m: float  # simple-walk (2m) normalization, for comparison
 
 
-def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[Labelling, CutSumBounds]:
+def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[Labelling, CutBound]:
     """Voltage-ordered prefix-cut upper bounds on the lazy commute time."""
     volt = solve_voltage(g, s, t)
     lab = voltage_labelling(g, volt)
     inv = 1.0 / lab.prefix_boundaries
     flow = float(np.sum(1.0 / lab.prefix_flows))
     literal = float(2.0 * g.m * inv.sum())
-    return lab, CutSumBounds(flow=flow, literal_2m=literal)
+    return lab, CutBound(flow=flow, literal_2m=literal)
 
 
 @dataclass
 class ConnectedLabelling:
     order: np.ndarray | None
-    status: str          # "found-greedy" | "found-search" | "not-found"
+    status: str          # "found-greedy" | "not-found"
 
 
 def connected_labelling(g: StaticGraph, volt: VoltageFunction) -> ConnectedLabelling:
     """A voltage-monotone ordering whose every prefix induces a connected
-    subgraph: greedy over the frontier first, exhaustive search as fallback.
+    subgraph: from s, repeatedly add the lowest-voltage frontier vertex.
 
-    The ordering starts at s; its last vertex carries voltage 1 but need not
-    be t itself (a pendant neighbor of t ties at voltage 1 and can only come
-    after t).  Voltages within 1e-9 count as equal.  A not-found result at
-    small n is flagged, never fabricated."""
+    The walk completes: by the discrete minimum principle every sublevel set
+    {v : g(v) <= a}, a < 1, of the harmonic voltage is connected to s, so the
+    lowest frontier vertex never lies below the last vertex added.  The
+    ordering's last vertex carries voltage 1 but need not be t itself (a
+    pendant neighbor of t ties at voltage 1 and can only come after t).
+    Voltages within 1e-9 count as equal; a walk that roundoff stops anyway is
+    flagged not-found, never fabricated."""
     n, s = g.n, volt.s
     gv = volt.values
     rank = _tie_rank(gv)
@@ -191,46 +194,11 @@ def connected_labelling(g: StaticGraph, volt: VoltageFunction) -> ConnectedLabel
             {int(w) for u in order for w in g.neighbors(u) if not used[w]},
             key=lambda w: (rank[w], w))
         if not frontier or gv[frontier[0]] < gv[order[-1]] - 1e-9:
-            break
+            return ConnectedLabelling(order=None, status="not-found")
         pick = frontier[0]
         order.append(pick)
         used[pick] = True
-    if len(order) == n:
-        return ConnectedLabelling(order=np.array(order), status="found-greedy")
-
-    if n > 12:
-        return ConnectedLabelling(order=None, status="not-found")
-    found = _search_labelling(g, gv, rank, s)
-    if found is not None:
-        return ConnectedLabelling(order=np.array(found), status="found-search")
-    return ConnectedLabelling(order=None, status="not-found")
-
-
-def _search_labelling(g: StaticGraph, gv, rank, s):
-    n = g.n
-    used = np.zeros(n, dtype=bool)
-    used[s] = True
-    order = [s]
-
-    def rec() -> bool:
-        if len(order) == n:
-            return True
-        last = gv[order[-1]]
-        cands = sorted(
-            {int(w) for u in order for w in g.neighbors(u) if not used[w]},
-            key=lambda w: (rank[w], w))
-        for w in cands:
-            if gv[w] < last - 1e-9:
-                continue
-            used[w] = True
-            order.append(w)
-            if rec():
-                return True
-            order.pop()
-            used[w] = False
-        return False
-
-    return list(order) if rec() else None
+    return ConnectedLabelling(order=np.array(order), status="found-greedy")
 
 
 def prefixes_connected(g: StaticGraph, order) -> bool:
@@ -242,12 +210,6 @@ def prefixes_connected(g: StaticGraph, order) -> bool:
             return False
         seen[v] = True
     return True
-
-
-@dataclass
-class NashWilliamsBound:
-    flow: float        # sum_j 1/Q(E_j): the lazy-chain lower bound
-    literal_2m: float  # simple-walk (2m) normalization
 
 
 def distance_layer_cutsets(g: StaticGraph, s: int, t: int) -> list[list[tuple[int, int]]]:
@@ -264,7 +226,7 @@ def distance_layer_cutsets(g: StaticGraph, s: int, t: int) -> list[list[tuple[in
     return [list(map(tuple, g.edges[layer == j].tolist())) for j in range(1, dt + 1)]
 
 
-def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> NashWilliamsBound:
+def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> CutBound:
     """Lower bound on the lazy commute time from edge-disjoint separating cutsets."""
     _require_vertices(g, s, t)
     _require_connected(g)
@@ -288,7 +250,7 @@ def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> NashWilliams
     sizes = np.array([len(cs) for cs in cutsets], dtype=float)
     flow = float(np.sum(4.0 * g.m / sizes))
     literal = float(np.sum(2.0 * g.m / sizes))
-    return NashWilliamsBound(flow=flow, literal_2m=literal)
+    return CutBound(flow=flow, literal_2m=literal)
 
 
 def _separates(g: StaticGraph, s: int, t: int, cut_keys: np.ndarray) -> bool:

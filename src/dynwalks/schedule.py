@@ -314,7 +314,9 @@ def schedule_from_doc(doc: dict) -> GraphSchedule:
     name = doc.get("name", "")
     meta = doc.get("meta")
     if mode == "generator":
-        return GraphSchedule(n, generator=doc["generator"], pi=pi, name=name, meta=meta)
+        s = GraphSchedule(n, generator=doc["generator"], pi=pi, name=name, meta=meta)
+        s.step(1)  # a bad family or parameter fails here, on load
+        return s
     steps = _runs_from_doc(n, doc.get("steps", []))
     if mode == "periodic":
         prefix = _runs_from_doc(n, doc.get("prefix", []))

@@ -270,19 +270,19 @@ def _walk_alone(s: GraphSchedule, x: int, rng: np.random.Generator, t: int, hori
             if kind == "hit":
                 if target_mask[x]:
                     return t, False
-            elif kind == "cover" and unseen[x]:
+            elif unseen[x]:
                 unseen[x] = False
                 remaining -= 1
                 if remaining == 0:
                     return t, False
-    return horizon, kind != "horizon"
+    return horizon, True
 
 
 def monte_carlo(s: GraphSchedule, start: int, seed: int, trials: int, stop,
                 horizon: int = 1_000_000) -> MonteCarloSummary:
     """Seeded trajectory sampling; censored trials are flagged, never dropped.
 
-    ``stop`` is ("hit", target), ("cover",) or ("horizon",); ``seed`` is a
+    ``stop`` is ("hit", target) or ("cover",); ``seed`` is a
     non-negative int, ``1 <= trials < 2**32`` and ``horizon >= 1``.  The
     stream contract, which fixes every stop time:
 
@@ -307,7 +307,7 @@ def monte_carlo(s: GraphSchedule, start: int, seed: int, trials: int, stop,
     if horizon < 1:
         raise GraphError(f"horizon must be >= 1; got {horizon}")
     kind = stop[0]
-    if kind not in ("hit", "cover", "horizon"):
+    if kind not in ("hit", "cover"):
         raise GraphError(f"unknown stop rule {kind!r}")
     n = s.n
     start = int(start)
@@ -370,7 +370,7 @@ def _lockstep(s: GraphSchedule, start: int, rngs: list, horizon: int, kind: str,
             x[movers] = there
             if kind == "hit":
                 stopped = movers[target_mask[there].nonzero()[0]]
-            elif kind == "cover":
+            else:
                 cells = row[movers] + there
                 fresh = unseen[cells].nonzero()[0]
                 if not fresh.size:
@@ -379,8 +379,6 @@ def _lockstep(s: GraphSchedule, start: int, rngs: list, horizon: int, kind: str,
                 fresh = movers[fresh]
                 remaining[fresh] -= 1
                 stopped = fresh[(remaining[fresh] == 0).nonzero()[0]]
-            else:
-                continue
             if stopped.size:
                 times[ids[stopped]] = t
                 live[stopped] = False

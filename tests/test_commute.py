@@ -231,19 +231,41 @@ def test_connected_labelling_path_identity_and_cycle():
     assert np.all(np.diff(volt.values[lab.order]) >= -1e-9)
 
 
+def _assert_greedy_labelling(g, s, t):
+    volt = commute.solve_voltage(g, s, t)
+    lab = commute.connected_labelling(g, volt)
+    assert lab.status == "found-greedy"
+    assert lab.order[0] == s and sorted(lab.order) == list(range(g.n))
+    assert commute.prefixes_connected(g, lab.order)
+    assert np.all(np.diff(volt.values[lab.order]) >= -1e-9)
+    assert volt.values[lab.order[-1]] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_connected_labelling_exhaustive_small():
     rng = np.random.default_rng(6)
     for _ in range(15):
         g = graphs.gnp_connected_graph(int(rng.integers(3, 7)), 0.5, rng)
         for s in range(g.n):
             for t in range(g.n):
-                if s == t:
-                    continue
-                volt = commute.solve_voltage(g, s, t)
-                lab = commute.connected_labelling(g, volt)
-                assert lab.order is not None
-                assert lab.order[0] == s
-                assert commute.prefixes_connected(g, lab.order)
+                if s != t:
+                    _assert_greedy_labelling(g, s, t)
+
+
+# the minimum principle: every sublevel set of a voltage below 1 is connected to
+# s, so the greedy frontier walk never stops
+@settings(max_examples=60)
+@given(connected_graphs(), st.data())
+def test_connected_labelling_greedy_walk_completes(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    t = data.draw(st.integers(0, g.n - 2))
+    _assert_greedy_labelling(g, s, t + (t >= s))
+
+
+def test_connected_labelling_flags_a_non_harmonic_voltage():
+    # the only vertex after 1 on the frontier lies below it
+    volt = commute.VoltageFunction(np.array([0.0, 0.9, 0.1, 1.0]), s=0, t=3)
+    lab = commute.connected_labelling(graphs.path_graph(4), volt)
+    assert lab.order is None and lab.status == "not-found"
 
 
 def test_nash_williams_path_exact_and_validation():

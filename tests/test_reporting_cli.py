@@ -527,6 +527,7 @@ def test_commute_pair_is_two_vertices_of_the_graph(tmp_path, capsys, argv, messa
 @pytest.mark.parametrize("argv, target", [
     (["gen", "nohitting", "--n", "10"], "gen nohitting"),
     (["gen", "barbell", "--n", "16"], "gen barbell"),
+    (["gen", "random_regular", "--n", "12", "--d", "6"], "gen random_regular"),
     (["commute", "--family", "circulant", "--n", "4"], "commute circulant"),
 ])
 def test_values_a_builder_rejects_exit_2(tmp_path, capsys, argv, target):
@@ -604,6 +605,16 @@ def test_negative_seeds_exit_2(tmp_path, capsys, argv):
     ("mix", '{"n": 4, "mode": "bogus"}', "unknown schedule mode"),
     ("mix", '{"n": 4}', "cannot read"),
     ("mix", "not json", "cannot read"),
+    # generator schedules: step 1 is drawn on load
+    ("mix", '{"n": 8, "mode": "generator", '
+            '"generator": {"family": "nope", "params": {}, "seed": 0}}', "cannot read"),
+    ("hit", '{"n": 8, "mode": "generator", '
+            '"generator": {"family": "random_regular_sequence", "params": {}, "seed": 0}}',
+     "cannot read"),
+    # d = 6: seed 15 draws its step 1, but later steps need not
+    ("mix", '{"n": 12, "mode": "generator", "generator": '
+            '{"family": "random_regular_sequence", "params": {"d": 6}, "seed": 15}}',
+     "cannot read"),
     ("hit", None, "cannot read"),
     ("commute", None, "cannot read"),
     ("commute", "3 1\n0 1 5\n", "cannot read"),

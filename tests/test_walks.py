@@ -368,7 +368,7 @@ def _walk_one_trial(s, start, rng, kind, target_mask, horizon):
                     remaining -= 1
                     if remaining == 0:
                         return t, False
-    return horizon, kind != "horizon"
+    return horizon, True
 
 
 def monte_carlo_one_at_a_time(s, start, seed, trials, stop, horizon):
@@ -393,7 +393,9 @@ HORIZONS = (1, 63, 64, 65, 127, 128, 129, 1025)  # around 64-step block edges
 @st.composite
 def mc_cases(draw):
     """(schedule, start, stop rule, trials, horizon, seed); the graphs are sparse
-    enough to leave isolated vertices and unreachable targets."""
+    enough to leave isolated vertices and unreachable targets.  A hit on the
+    vertices a stored schedule's union graph cuts off from the start, where
+    there are any, runs every trial to the horizon."""
     family = draw(st.sampled_from(["static", "periodic", "generator"]))
     if family == "generator":
         s = constructions.build_random_regular_schedule(
@@ -414,10 +416,18 @@ def mc_cases(draw):
             s = schedule.GraphSchedule(n, prefix_runs=prefix, cycle_runs=[
                 (graph(), draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))])
     vertex = st.integers(0, s.n - 1)
-    stop = draw(st.one_of(st.tuples(st.just("hit"), vertex),
-                          st.tuples(st.just("hit"), st.frozensets(vertex, min_size=1)),
-                          st.just(("cover",)), st.just(("horizon",))))
-    return (s, draw(vertex), stop, draw(st.integers(1, 24)), draw(st.sampled_from(HORIZONS)),
+    start = draw(vertex)
+    stops = [st.tuples(st.just("hit"), vertex),
+             st.tuples(st.just("hit"), st.frozensets(vertex, min_size=1)),
+             st.just(("cover",))]
+    if family != "generator":
+        union = graphs.StaticGraph(s.n, np.concatenate(
+            [np.empty((0, 2), np.int64)] + [g.edges for g, _ in s.prefix_runs + s.cycle_runs]))
+        cut_off = np.isinf(graphs.bfs_distances(union, start)).nonzero()[0]
+        if cut_off.size:
+            stops.append(st.just(("hit", frozenset(cut_off.tolist()))))
+    stop = draw(st.one_of(*stops))
+    return (s, start, stop, draw(st.integers(1, 24)), draw(st.sampled_from(HORIZONS)),
             draw(st.integers(0, 2**160)))
 
 
@@ -431,7 +441,9 @@ def mc_cases(draw):
 @example(case=(static(graphs.path_graph(30)), 0, ("hit", 29), 20, 2049, 3))
 @example(case=(constructions.build_random_regular_schedule(12, 4, seed=3), 0, ("cover",),
                30, 1025, 4))
-@example(case=(static(graphs.path_graph(6)), 2, ("horizon",), 12, 65, 5))
+# every trial runs to the horizon: vertex 6 is isolated
+@example(case=(static(graphs.StaticGraph(7, [(i, i + 1) for i in range(5)])), 2, ("hit", 6),
+               12, 65, 5))
 def test_monte_carlo_matches_one_at_a_time_oracle(case):
     s, start, stop, trials, horizon, seed = case
     mc = walks.monte_carlo(s, start, seed=seed, trials=trials, stop=stop, horizon=horizon)
@@ -456,6 +468,7 @@ def test_monte_carlo_rejects_a_start_out_of_range():
     dict(seed=None), dict(seed=-1), dict(seed=[1, 2]), dict(seed=1.0), dict(seed=True),
     dict(horizon=-5), dict(horizon=0), dict(trials=0),
     dict(stop=("hit", -1)), dict(stop=("hit", 6)), dict(stop=("hit", {2, 6})),
+    dict(stop=("horizon",)),
 ])
 def test_monte_carlo_rejects_inputs_it_cannot_honour(kwargs):
     s = static(graphs.cycle_graph(6))
