@@ -27,6 +27,7 @@ _MASK_CHUNK = 1 << 16
 
 @dataclass
 class StationaryDistribution:
+    """A stationary distribution pi and its smallest entry pi_star."""
     pi: np.ndarray
     pi_star: float
 

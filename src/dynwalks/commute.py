@@ -78,6 +78,7 @@ def max_commute(g: StaticGraph) -> float:
 
 @dataclass
 class VoltageFunction:
+    """A voltage on the vertices: 0 at s, 1 at t, harmonic elsewhere."""
     values: np.ndarray
     s: int
     t: int
@@ -93,17 +94,24 @@ def solve_voltage(g: StaticGraph, s: int, t: int) -> VoltageFunction:
     Lp = _laplacian_pinv(g)
     x = Lp[:, t] - Lp[:, s]
     vals = (x - x[s]) / (x[t] - x[s])
-    # harmonic off {s, t}: vals = P vals, with P applied over g's adjacency
-    # arrays (g is connected, so no vertex has an empty neighbour segment)
+    return VoltageFunction(values=_checked_voltages(g, vals, [s, t]), s=s, t=t)
+
+
+def _checked_voltages(g: StaticGraph, vals: np.ndarray, fixed) -> np.ndarray:
+    """``vals`` clipped to [0, 1], after checking that each column (axis 0) is
+    harmonic off its entries ``vals[fixed]`` and lies in [0, 1]."""
+    # harmonic: vals = P vals, with P applied over g's adjacency arrays (g is
+    # connected, so no vertex has an empty neighbour segment); transposed, so
+    # that the per-vertex entries of P broadcast over the columns
     diag, off = chain._lazy_entries(g)
-    step = diag * vals + off * np.add.reduceat(vals[g.adj_indices], g.adj_indptr[:-1])
-    resid = np.abs(vals - step)
-    resid[[s, t]] = 0.0
+    nbrs = np.add.reduceat(vals[g.adj_indices], g.adj_indptr[:-1], axis=0)
+    resid = np.abs(vals.T - (diag * vals.T + off * nbrs.T)).T
+    resid[fixed] = 0.0
     if resid.max() > VOLTAGE_RESIDUAL_TOL:
         raise GraphError(f"voltage solve residual {resid.max():.3e} exceeds tolerance")
     if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
         raise GraphError("voltage escaped [0, 1]")
-    return VoltageFunction(values=np.clip(vals, 0.0, 1.0), s=s, t=t)
+    return np.clip(vals, 0.0, 1.0)
 
 
 def voltage_commute_bound(g: StaticGraph, volt: VoltageFunction) -> float:
@@ -113,6 +121,7 @@ def voltage_commute_bound(g: StaticGraph, volt: VoltageFunction) -> float:
 
 @dataclass
 class Labelling:
+    """A vertex ordering with the boundary size and flow of each proper prefix."""
     order: np.ndarray             # order[j] = vertex with rank j
     prefix_boundaries: np.ndarray  # |boundary([j])| for j = 1..n-1
     prefix_flows: np.ndarray       # Q([j], V - [j]) for j = 1..n-1
@@ -121,22 +130,24 @@ class Labelling:
 def _prefix_cuts(g: StaticGraph, order: np.ndarray) -> np.ndarray:
     pos = np.empty(g.n, dtype=np.int64)
     pos[order] = np.arange(g.n)
-    a = np.minimum(pos[g.edges[:, 0]], pos[g.edges[:, 1]])
-    b = np.maximum(pos[g.edges[:, 0]], pos[g.edges[:, 1]])
-    # edge crosses prefix j (1-indexed size) iff a < j <= b
-    delta = np.zeros(g.n + 1, dtype=np.int64)
-    np.add.at(delta, a + 1, 1)
-    np.add.at(delta, b + 1, -1)
-    return np.cumsum(delta)[1:g.n]
+    pu, pv = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
+    # edge crosses prefix j (1-indexed size) iff a < j <= b, so the cut of
+    # prefix j counts the a <= j - 1 less the b <= j - 1
+    a, b = np.minimum(pu, pv), np.maximum(pu, pv)
+    return np.cumsum(np.bincount(a, minlength=g.n) - np.bincount(b, minlength=g.n))[:-1]
 
 
 def _tie_rank(values: np.ndarray) -> np.ndarray:
-    """Dense ranks of ``values`` in which a value within 1e-9 of its sorted
-    neighbour shares that neighbour's rank, so roundoff cannot split a tie."""
-    order = np.argsort(values, kind="stable")
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.concatenate(([0], np.cumsum(np.diff(values[order]) > 1e-9)))
-    return rank
+    """Dense ranks of ``values`` along axis 0 in which a value within 1e-9 of
+    its sorted neighbour shares that neighbour's rank, so roundoff cannot split
+    a tie.  Each column of a 2-D block is ranked on its own; a 1-D vector is
+    the one-column case."""
+    v = values.reshape(len(values), -1)
+    order = np.argsort(v, axis=0, kind="stable")
+    cols = np.arange(v.shape[1])
+    rank = np.zeros(v.shape, dtype=np.int64)
+    rank[order[1:], cols] = np.cumsum(np.diff(v[order, cols], axis=0) > 1e-9, axis=0)
+    return rank.reshape(values.shape)
 
 
 def voltage_labelling(g: StaticGraph, volt: VoltageFunction) -> Labelling:
@@ -152,6 +163,7 @@ def voltage_labelling(g: StaticGraph, volt: VoltageFunction) -> Labelling:
 
 @dataclass
 class CutBound:
+    """A cut-based commute-time bound, in flow and in 2m normalization."""
     flow: float        # sum_j 1/Q(cut j) = 4m sum_j 1/|cut j|: the lazy-chain bound
     literal_2m: float  # simple-walk (2m) normalization, for comparison
 
@@ -166,8 +178,30 @@ def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[Labelling, CutBound]:
     return lab, CutBound(flow=flow, literal_2m=literal)
 
 
+def cut_sums_from(g: StaticGraph, s: int) -> np.ndarray:
+    """``cut_sum_upper(g, s, t)[1].flow`` for every target t, 0.0 at t = s.
+    Column t of one n x n block is the voltage from s to t; the block is
+    checked, ranked and ordered as a whole, and each ordering is cut alone."""
+    _require_vertices(g, s)
+    Lp = _laplacian_pinv(g)
+    diag = np.arange(g.n)
+    x = Lp - Lp[:, [s]]
+    scale = x[diag, diag] - x[s]
+    scale[s] = 1.0  # column s is all zero; keep 0/0 out of it
+    fixed = np.eye(g.n, dtype=bool)
+    fixed[s] = True
+    key = _checked_voltages(g, (x - x[s]) / scale, fixed)
+    key[s] = -np.inf
+    key[diag, diag] = np.inf
+    order = np.argsort(_tie_rank(key), axis=0, kind="stable")  # ties by index
+    flows = np.array([np.sum(1.0 / (_prefix_cuts(g, o) / (4.0 * g.m))) for o in order.T])
+    flows[s] = 0.0
+    return flows
+
+
 @dataclass
 class ConnectedLabelling:
+    """A voltage-monotone ordering with connected prefixes, or None if not found."""
     order: np.ndarray | None
     status: str          # "found-greedy" | "not-found"
 
@@ -219,11 +253,16 @@ def distance_layer_cutsets(g: StaticGraph, s: int, t: int) -> list[list[tuple[in
     dist = bfs_distances(g, s)
     if not np.isfinite(dist[t]):
         raise GraphError(f"vertex {t} is unreachable from {s}")
-    dt = int(dist[t])
+    layer = _edge_layers(g, dist)
+    return [list(map(tuple, g.edges[layer == j].tolist())) for j in range(1, int(dist[t]) + 1)]
+
+
+def _edge_layers(g: StaticGraph, dist: np.ndarray) -> np.ndarray:
+    """Per edge, the j >= 1 of the distance layer E_j it belongs to (it joins
+    distance j - 1 to j), or 0 for an edge within one distance."""
     du, dv = dist[g.edges[:, 0]], dist[g.edges[:, 1]]
     lo, hi = np.minimum(du, dv), np.maximum(du, dv)
-    layer = np.where(hi == lo + 1, hi, 0)
-    return [list(map(tuple, g.edges[layer == j].tolist())) for j in range(1, dt + 1)]
+    return np.where(hi == lo + 1, hi, 0)
 
 
 def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> CutBound:
@@ -251,6 +290,19 @@ def nash_williams_lower(g: StaticGraph, s: int, t: int, cutsets) -> CutBound:
     flow = float(np.sum(4.0 * g.m / sizes))
     literal = float(np.sum(2.0 * g.m / sizes))
     return CutBound(flow=flow, literal_2m=literal)
+
+
+def nash_williams_from(g: StaticGraph, s: int) -> np.ndarray:
+    """``nash_williams_lower(g, s, t, distance_layer_cutsets(g, s, t)).flow``
+    for every target t, 4m sum_{j <= dist(s,t)} 1/|E_j|, from one BFS; 0.0 at
+    t = s.  The distance layers separate s from t by construction."""
+    _require_connected(g)
+    dist = bfs_distances(g, s)
+    depth = int(dist.max())
+    sizes = np.bincount(_edge_layers(g, dist).astype(np.int64), minlength=depth + 1)[1:]
+    terms = 4.0 * g.m / sizes.astype(float)
+    flows = np.array([np.sum(terms[:j]) for j in range(depth + 1)])
+    return flows[dist.astype(np.int64)]
 
 
 def _separates(g: StaticGraph, s: int, t: int, cut_keys: np.ndarray) -> bool:

@@ -221,6 +221,7 @@ def validate_common_stationary(s: GraphSchedule, horizon: int) -> chain.Stationa
 
 @dataclass
 class WindowAverage:
+    """The average walk matrix over a window of steps, with its spectral gap."""
     matrix: np.ndarray
     window: tuple[int, int]  # (t1, w): steps t1+1 .. t1+w
     ergodic: bool

@@ -23,6 +23,7 @@ DECAY_TOL = 1e-10
 
 @dataclass
 class DistributionState:
+    """The distribution p after t steps, and its ratio rho = p / pi if pi was given."""
     p: np.ndarray
     t: int
     rho: np.ndarray | None = None
@@ -30,6 +31,7 @@ class DistributionState:
 
 @dataclass
 class HittingEstimate:
+    """A truncated hitting-time sum with its residual mass and status."""
     lower: float          # sum_{t<=T} Pr[tau > t], a certified lower bound
     residual_mass: float  # surviving probability at the truncation point
     T: int
@@ -38,6 +40,7 @@ class HittingEstimate:
 
 @dataclass
 class MonteCarloSummary:
+    """The stop times of seeded trials, censored ones flagged, with their mean and stderr."""
     times: np.ndarray
     censored: np.ndarray
     mean: float
@@ -397,6 +400,7 @@ def _lockstep(s: GraphSchedule, start: int, rngs: list, horizon: int, kind: str,
 
 @dataclass
 class DecayCheck:
+    """One step of the variance-decay inequality, with its margin."""
     t: int
     var_before: float
     var_after: float
@@ -424,6 +428,7 @@ def variance_decay_checks(s: GraphSchedule, p0, steps: int, pi) -> list[DecayChe
 
 @dataclass
 class DeviationCheck:
+    """The strongest pointwise-deviation instance at one step, with its margin."""
     t: int
     u: int
     deviation: float
@@ -457,6 +462,7 @@ def ratio_deviation_checks(s: GraphSchedule, p0, steps: int, pi) -> list[Deviati
 
 @dataclass
 class WindowDecayCheck:
+    """The variance drop over one window against the window's mean Dirichlet form."""
     t1: int
     w: int
     var_drop: float
@@ -494,6 +500,7 @@ def window_average_decay_check(s: GraphSchedule, t1: int, w: int, p0, pi) -> Win
 
 @dataclass
 class MidpointCheck:
+    """One check of |rho^[t1,t2]_{v,u} - 1| against its midpoint bound, with its margin."""
     u: int
     v: int
     t1: int

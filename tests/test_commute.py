@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynwalks import chain, commute, constructions, graphs, walks
+from dynwalks import chain, commute, constructions, graphs, suites, walks
 from dynwalks.errors import GraphError
 
 
@@ -119,7 +119,10 @@ def test_laplacian_pinv_computed_once_per_graph(monkeypatch):
     lambda g, v: commute.cut_sum_upper(g, v, 4),
     lambda g, v: commute.distance_layer_cutsets(g, 0, v),
     lambda g, v: commute.nash_williams_lower(g, 0, v, [[(3, 4)]]),
-], ids=["hitting", "commute-s", "commute-t", "voltage", "cutsum", "layers", "nash-williams"])
+    lambda g, v: commute.cut_sums_from(g, v),
+    lambda g, v: commute.nash_williams_from(g, v),
+], ids=["hitting", "commute-s", "commute-t", "voltage", "cutsum", "layers", "nash-williams",
+        "cutsums-from", "nash-williams-from"])
 def test_commute_vertices_are_range_checked(call, bad):
     # -1 would wrap to vertex 4 of the path, and 5 is one past its end
     with pytest.raises(GraphError, match="out of range"):
@@ -133,6 +136,8 @@ def test_solve_voltage_rejects_a_residual_above_tolerance(monkeypatch):
     monkeypatch.setattr(commute, "_laplacian_pinv", lambda g: Lp)
     with pytest.raises(GraphError, match="voltage solve residual"):
         commute.solve_voltage(g, 0, 4)
+    with pytest.raises(GraphError, match="voltage solve residual"):
+        commute.cut_sums_from(g, 0)
 
 
 def test_hitting_times_first_step_consistency():
@@ -318,6 +323,49 @@ def test_nash_williams_checks_connectivity_once_per_graph(monkeypatch):
     assert bfs == [True]  # commute's masked BFS is bound at import and not counted here
 
 
+@settings(max_examples=60)
+@given(connected_graphs(), st.data())
+def test_per_source_bounds_equal_the_per_pair_bounds(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    upper = commute.cut_sums_from(g, s)
+    lower = commute.nash_williams_from(g, s)
+    assert upper[s] == lower[s] == 0.0
+    for t in range(g.n):
+        if t != s:
+            assert upper[t] == commute.cut_sum_upper(g, s, t)[1].flow
+            assert lower[t] == commute.nash_williams_lower(
+                g, s, t, commute.distance_layer_cutsets(g, s, t)).flow
+
+
+@pytest.mark.parametrize("per_source", [commute.cut_sums_from, commute.nash_williams_from])
+def test_per_source_bounds_reject_a_disconnected_graph(per_source):
+    with pytest.raises(GraphError, match="connected"):
+        per_source(graphs.StaticGraph(4, [(0, 1), (2, 3)]), 0)
+
+
+def test_commute_bounds_suite_runs_one_bfs_per_source(monkeypatch):
+    built, bfs, separates = [], [], []
+    build, real = graphs.gnp_connected_graph, graphs._bfs
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def counting(g, source, keep=None):
+        bfs.append((g, source, keep is None))
+        return real(g, source, keep)
+
+    monkeypatch.setattr(graphs, "gnp_connected_graph", building)
+    monkeypatch.setattr(graphs, "_bfs", counting)
+    monkeypatch.setattr(commute, "_separates", lambda *args: separates.append(args))
+    suites.suite_commute_bounds(seeds=[6], sizes=[3])
+    [g] = built
+    assert g.n == 10 and separates == []
+    # the connectivity check from vertex 0, then one unmasked BFS per source
+    assert [(source, unmasked) for h, source, unmasked in bfs if h is g] == \
+        [(0, True)] + [(s, True) for s in range(g.n)]
+
+
 def test_full_sandwich_random_graphs():
     rng = np.random.default_rng(8)
     for _ in range(30):
@@ -448,3 +496,12 @@ def test_fosters_theorem(g):
     C = commute.commute_matrix(g)
     r_eff = C[g.edges[:, 0], g.edges[:, 1]] / (4.0 * g.m)
     assert r_eff.sum() == pytest.approx(g.n - 1, rel=1e-10)
+
+
+@settings(max_examples=60)
+@given(connected_graphs())
+def test_random_target_lemma(g):
+    # sum_v pi(v) H(u, v) does not depend on the start u
+    H = np.column_stack([commute.hitting_times_to(g, v) for v in range(g.n)])
+    k = H @ chain.degree_stationary(g).pi
+    assert np.abs(k - k[0]).max() <= 1e-12 * k[0]

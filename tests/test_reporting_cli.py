@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynwalks import cli, constructions, graphs, reporting, schedule
-from dynwalks.errors import GraphError
+from dynwalks.errors import GenerationError, GraphError
 from dynwalks.reporting import BoundReport, csv_body, loglog_slope
 from dynwalks.suites import KNOBS, SUITES, ExperimentConfig, run_suite
 
@@ -615,13 +615,21 @@ def test_negative_seeds_exit_2(tmp_path, capsys, argv):
     ("mix", '{"n": 12, "mode": "generator", "generator": '
             '{"family": "random_regular_sequence", "params": {"d": 6}, "seed": 15}}',
      "cannot read"),
+    # a family that exhausts its retry budget (GenerationError) on step 1
+    ("mix", '{"n": 8, "mode": "generator", '
+            '"generator": {"family": "exhausted", "params": {}, "seed": 0}}',
+     "cannot read {path}: 8-vertex step: no sample in the retry budget"),
     ("hit", None, "cannot read"),
     ("commute", None, "cannot read"),
     ("commute", "3 1\n0 1 5\n", "cannot read"),
     ("commute", "3 1\n1 1\n", "self-loops are not allowed"),
     ("commute", "4 2\n0 1\n2 3\n", "commute: the graph is not connected"),
 ])
-def test_bad_input_files_exit_2(tmp_path, capsys, verb, text, message):
+def test_bad_input_files_exit_2(tmp_path, capsys, monkeypatch, verb, text, message):
+    def exhausted(n, params, seed, t):
+        raise GenerationError(f"{n}-vertex step: no sample in the retry budget")
+
+    monkeypatch.setitem(constructions.GENERATOR_FAMILIES, "exhausted", exhausted)
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)
@@ -633,6 +641,6 @@ def test_bad_input_files_exit_2(tmp_path, capsys, verb, text, message):
         cli.main([verb, flag, str(path), *pair, "--out", str(out / "r.csv")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and message in err
+    assert err.startswith("usage:") and message.format(path=path) in err
     assert not list(out.iterdir())
 
