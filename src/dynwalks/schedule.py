@@ -12,8 +12,11 @@ is ``step_matrix(t) @ X``.  Its representation follows the graph's density:
 ``chain.lazy_transpose_csc`` for a large sparse graph (n >= SPARSE_MIN_N and
 at most n^2 / SPARSE_FILL nonzeros in P), the transposed view of the dense
 ``chain.lazy_matrix`` otherwise.  A stored step's operator is built once and
-kept, one per prefix or cycle run, so a dense one below n = SPARSE_MIN_N takes
-at most 8 n^2 bytes; a generated step's operator is built on each call.
+kept.  A dense one is kept per prefix or cycle run, so below n = SPARSE_MIN_N
+it takes at most 8 n^2 bytes.  A CSC one is kept, read-only, on the step's
+graph itself, so every step and every schedule holding that graph object
+applies the same operator.  A generated step's operator is built on each call
+and kept nowhere.
 """
 
 from __future__ import annotations
@@ -136,22 +139,40 @@ class GraphSchedule:
         """P^T for the lazy walk matrix P of step t: the CSC
         ``chain.lazy_transpose_csc`` when n >= SPARSE_MIN_N and P's n + 2m
         nonzeros are at most n^2 / SPARSE_FILL, else the transposed view of
-        the dense ``chain.lazy_matrix``.  Kept for a stored step, built on
-        each call for a generated one."""
+        the dense ``chain.lazy_matrix``.  Kept per step key for a stored
+        step, and a CSC one also on the step's graph, where every step and
+        schedule holding that graph finds it.  Built on each call for a
+        generated step, unless its graph already holds a CSC one."""
         key = self.step_key(t)
         op = self._operators.get(key)
         if op is None:
-            g, n = self.step(t), self.n
+            g, n, stored = self.step(t), self.n, key[0] != "g"
             if n >= SPARSE_MIN_N and (n + 2 * g.m) * SPARSE_FILL <= n * n:
-                op = chain.lazy_transpose_csc(g)
+                op = _lazy_transpose_csc(g, keep=stored)
             else:
                 op = chain.lazy_matrix(g).T
-            if key[0] != "g":
+            if stored:
                 self._operators[key] = op
         return op
 
     def __repr__(self):
         return f"GraphSchedule(n={self.n}, kind={self.kind!r}, name={self.name!r})"
+
+
+def _lazy_transpose_csc(g: StaticGraph, keep: bool) -> sparse.csc_array:
+    """``chain.lazy_transpose_csc(g)``, read from g if g already holds it.
+    With ``keep``, a fresh one is made read-only and kept on g, as a graph is
+    immutable: every step and schedule holding g then applies the same
+    operator, and it cannot be reordered in place (``sort_indices()`` would
+    change the summation order of every later apply)."""
+    op = getattr(g, "_lazy_transpose_csc", None)
+    if op is None:
+        op = chain.lazy_transpose_csc(g)
+        if keep:
+            for a in (op.data, op.indices, op.indptr):
+                a.setflags(write=False)
+            g._lazy_transpose_csc = op
+    return op
 
 
 def _generator_step(n, generator, t) -> StaticGraph:
@@ -197,8 +218,7 @@ def validate_common_stationary(s: GraphSchedule, horizon: int) -> chain.Stationa
                 "schedules must declare their stationary distribution", step=1)
         pi = chain.degree_stationary(g1).pi
         ref_deg = g1.degree
-        for t in range(1, horizon + 1):
-            g = s.step(t)
+        for t, g in _first_steps(s, horizon):
             if not is_connected(g):
                 raise ValidationError(f"step {t} is disconnected; declare pi on the schedule",
                                       step=t)
@@ -207,12 +227,28 @@ def validate_common_stationary(s: GraphSchedule, horizon: int) -> chain.Stationa
                     f"degree sequence changes at step {t}; no degree-derived "
                     "common pi exists, declare one on the schedule", step=t)
 
-    for t in range(1, horizon + 1):
-        res = chain.pi_step_residual(s.step(t), pi)
+    for t, g in _first_steps(s, horizon):
+        res = chain.pi_step_residual(g, pi)
         if res > PI_TOL:
             raise ValidationError(
                 f"pi is not stationary for step {t} (residual {res:.3e})", step=t)
     return chain.StationaryDistribution(pi=pi, pi_star=float(pi[pi > 0].min()))
+
+
+def _first_steps(s: GraphSchedule, horizon: int):
+    """(t, step t's graph) for t = 1..horizon in order, without a stored step
+    whose graph object an earlier step holds, so a check run on each still
+    fails first at the first failing step.  The schedule's runs keep every
+    stored graph alive, so identity is a sound key; a generated step is
+    always yielded, as an evicted graph's identity may be reused."""
+    seen = set()
+    for t in range(1, horizon + 1):
+        g = s.step(t)
+        if s.generator is None:
+            if id(g) in seen:
+                continue
+            seen.add(id(g))
+        yield t, g
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +317,15 @@ def _runs_to_doc(runs):
             for g, rep in runs]
 
 
-def _runs_from_doc(n, doc):
-    return [(StaticGraph(n, item["edges"]), int(item["repeat"])) for item in doc]
+def _runs_from_doc(n, doc, by_edges):
+    """The runs of ``doc``; a graph whose edges ``by_edges`` (edge bytes to graph,
+    shared by a file's prefix and cycle) already holds is that one, so its
+    step operator is built once."""
+    runs = []
+    for item in doc:
+        g = StaticGraph(n, item["edges"])
+        runs.append((by_edges.setdefault(g.edges.tobytes(), g), int(item["repeat"])))
+    return runs
 
 
 def schedule_to_doc(s: GraphSchedule) -> dict:
@@ -318,9 +361,10 @@ def schedule_from_doc(doc: dict) -> GraphSchedule:
         s = GraphSchedule(n, generator=doc["generator"], pi=pi, name=name, meta=meta)
         s.step(1)  # a bad family or parameter fails here, on load
         return s
-    steps = _runs_from_doc(n, doc.get("steps", []))
+    by_edges = {}
+    steps = _runs_from_doc(n, doc.get("steps", []), by_edges)
     if mode == "periodic":
-        prefix = _runs_from_doc(n, doc.get("prefix", []))
+        prefix = _runs_from_doc(n, doc.get("prefix", []), by_edges)
         return GraphSchedule(n, prefix_runs=prefix, cycle_runs=steps, pi=pi,
                              name=name, meta=meta)
     if mode == "finite":

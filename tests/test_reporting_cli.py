@@ -147,6 +147,14 @@ def test_cli_gen_mix_hit_cover(tmp_path):
                      "--seed", "3"]) == 0
 
 
+def test_cli_hit_on_a_large_periodic_file(tmp_path):
+    """nohitting(256): 768 steps of CSC operators on 379 distinct graphs."""
+    sched = tmp_path / "nohitting.json"
+    assert cli.main(["gen", "nohitting", "--n", "256", "--out", str(sched)]) == 0
+    assert cli.main(["hit", "--schedule", str(sched), "--u", "1", "--v", "200",
+                     "--tmax", "1024"]) == 0
+
+
 def test_cli_commute_on_graph_file(tmp_path, write_graph_text):
     g = graphs.circulant_graph(10, 2)
     gpath = tmp_path / "g.txt"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynwalks import chain, constructions, graphs, schedule
+from dynwalks import chain, constructions, graphs, schedule, walks
 from dynwalks.errors import GraphError, ValidationError
 
 
@@ -100,6 +100,32 @@ def test_validate_disconnected_needs_declared_pi():
     assert dist.pi_star == 0.25
 
 
+def test_validate_checks_each_distinct_graph_once(monkeypatch):
+    """nohitting(16) holds 19 graph objects in its 48 steps."""
+    calls = []
+    residual = chain.pi_step_residual
+
+    def counted(g, pi):
+        calls.append(g)
+        return residual(g, pi)
+
+    monkeypatch.setattr(chain, "pi_step_residual", counted)
+    schedule.validate_common_stationary(constructions.build_nohitting(16), horizon=1)
+    assert len(calls) == 19
+
+
+@pytest.mark.parametrize("pi", [np.full(8, 1 / 8), None], ids=["declared", "degree"])
+def test_validate_names_the_first_step_of_a_recurring_bad_graph(pi):
+    """The bad graph is one object at steps 3 and 7: the residual (declared pi)
+    or the degree comparison (no pi) fails first at step 3."""
+    good, bad = graphs.cycle_graph(8), graphs.path_graph(8)
+    runs = [(good, 2), (bad, 1), (good, 3), (bad, 1), (good, 1)]
+    s = schedule.GraphSchedule(8, cycle_runs=runs, pi=pi)
+    with pytest.raises(ValidationError) as err:
+        schedule.validate_common_stationary(s, horizon=8)
+    assert err.value.step == 3
+
+
 def test_window_average_identical_graphs_equals_step():
     g = graphs.cycle_graph(6)
     s = constructions.build_static(g, pi=np.full(6, 1 / 6))
@@ -182,6 +208,31 @@ def test_schedule_json_prefix_runs(tmp_path):
     T = s.meta["complete_phase"]
     assert loaded.step(T) == graphs.complete_graph(12)
     assert loaded.step(T + 1) == graphs.cycle_graph(12)
+    assert schedule.schedule_hash(loaded) == schedule.schedule_hash(s)
+
+
+def test_schedule_file_loads_identical_steps_as_one_graph(tmp_path):
+    """A file's steps with the same edges, in the prefix or the period, load
+    as one graph object, so their step operator is built once; the loaded
+    schedule hashes and propagates as the built one."""
+    s = constructions.build_nohitting(256)
+    path = tmp_path / "nohitting.json"
+    schedule.save_schedule(s, path)
+    loaded = schedule.load_schedule(path)
+    assert len({id(g) for g, _ in loaded.cycle_runs}) == 379
+    assert schedule.schedule_hash(loaded) == schedule.schedule_hash(s)
+    pairs = [(1, 200), (0, 255), (130, 7)]
+    for a, b in zip(walks.exact_hitting_batch(loaded, pairs, t_max=1024),
+                    walks.exact_hitting_batch(s, pairs, t_max=1024), strict=True):
+        assert a == b
+    assert np.array_equal(walks.evolve_trace(loaded, 1, 800), walks.evolve_trace(s, 1, 800))
+
+    s = schedule.GraphSchedule(8, prefix_runs=[(graphs.cycle_graph(8), 2)],
+                               cycle_runs=[(graphs.complete_graph(8), 1),
+                                           (graphs.cycle_graph(8), 1)])
+    schedule.save_schedule(s, path)
+    loaded = schedule.load_schedule(path)
+    assert loaded.prefix_runs[0][0] is loaded.cycle_runs[1][0]
     assert schedule.schedule_hash(loaded) == schedule.schedule_hash(s)
 
 

@@ -163,24 +163,30 @@ def test_long_period_builds_each_step_operator_once(monkeypatch):
     assert len(builds) == 144
 
 
+def _outputs(s, pairs, steps):
+    """The trace from vertex 0 and a hitting batch, as arrays."""
+    trace = walks.evolve_trace(s, 0, steps)
+    hits = walks.exact_hitting_batch(s, pairs, t_max=steps)
+    return np.array(trace), np.array([(e.lower, e.residual_mass, e.T) for e in hits])
+
+
 GENERATED_STEPS = 60
 
 
 @pytest.mark.parametrize("n", [32, schedule.SPARSE_MIN_N], ids=["dense", "csc"])
 def test_generated_step_operators_match_stored_ones(monkeypatch, n):
     """A generator schedule builds a step's operator on every call and keeps
-    none; a finite schedule of its first T graphs keeps one per step.  Every
-    output of the two is bit-identical."""
+    none; a finite schedule of copies of its first T graphs keeps one per step.
+    Every output of the two is bit-identical.  The copies keep the stored
+    schedule's CSC operators off the generator's own graphs."""
     T = GENERATED_STEPS
     gen = constructions.build_random_regular_schedule(n, 4, seed=n)
-    stored = schedule.GraphSchedule(n, prefix_runs=[(gen.step(t), 1) for t in range(1, T + 1)])
+    stored = schedule.GraphSchedule(
+        n, prefix_runs=[(graphs.StaticGraph(n, gen.step(t).edges), 1) for t in range(1, T + 1)])
     pi = np.full(n, 1.0 / n)
 
     def run(s):
-        trace = walks.evolve_trace(s, 0, T)
-        hits = walks.exact_hitting_batch(s, [(0, n - 1), (1, {2, 3})], t_max=T)
-        return (np.array(trace), np.array([(e.lower, e.residual_mass, e.T) for e in hits]),
-                walks.measure_mixing(s, pi, horizon=T))
+        return *_outputs(s, [(0, n - 1), (1, {2, 3})], T), walks.measure_mixing(s, pi, horizon=T)
 
     want = run(stored)
     build = chain.lazy_matrix if n < schedule.SPARSE_MIN_N else chain.lazy_transpose_csc
@@ -193,6 +199,48 @@ def test_generated_step_operators_match_stored_ones(monkeypatch, n):
     assert len(stored._operators) == T
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
+
+
+def test_stored_csc_steps_build_one_operator_per_graph(monkeypatch):
+    """nohitting(256) holds 379 graph objects in its 768 steps: one traversal
+    builds 379 CSC operators and a second schedule over the same graphs builds
+    none.  Both give the outputs of a schedule over a copy per step, which
+    builds one per step."""
+    n = 256
+    constructions._nohitting_period.cache_clear()  # graphs that hold no operator yet
+    builds = _count_calls(monkeypatch, chain, "lazy_transpose_csc")
+    first = constructions.build_nohitting(n)
+    assert len({id(g) for g, _ in first.cycle_runs}) == 379
+    pairs = [(0, n - 1), (1, 200), (130, 7)]
+    want = _outputs(first, pairs, 4 * n)
+    assert len(builds) == 379
+    got = _outputs(constructions.build_nohitting(n), pairs, 4 * n)
+    assert len(builds) == 379
+    copies = schedule.GraphSchedule(
+        n, cycle_runs=[(graphs.StaticGraph(n, g.edges), rep) for g, rep in first.cycle_runs])
+    ref = _outputs(copies, pairs, 4 * n)
+    assert len(builds) == 379 + 3 * n
+    for a, b, c in zip(want, got, ref, strict=True):
+        assert np.array_equal(a, c) and np.array_equal(b, c)
+
+
+def test_kept_csc_operator_is_read_only():
+    """A kept operator is shared, so it cannot be reordered in place."""
+    g = graphs.random_regular_graph(schedule.SPARSE_MIN_N, 4, 1)
+    op = static(g).step_matrix(1)
+    assert isinstance(op, sparse.csc_array) and op is static(g).step_matrix(1)
+    assert not any(a.flags.writeable for a in (op.data, op.indices, op.indptr))
+    with pytest.raises(ValueError):
+        op.sort_indices()
+
+
+def test_generated_csc_steps_leave_no_operator_on_their_graphs():
+    n = schedule.SPARSE_MIN_N
+    gen = constructions.build_random_regular_schedule(n, 4, seed=3)
+    assert isinstance(gen.step_matrix(1), sparse.csc_array)
+    _outputs(gen, [(0, n - 1)], 20)
+    assert gen._operators == {} and len(gen._graphs) == 20
+    assert not any(hasattr(g, "_lazy_transpose_csc") for g in gen._graphs.values())
 
 
 def _graph(n, m, isolated, seed):
@@ -299,6 +347,80 @@ def test_step_operators_match_the_dense_lazy_matrix(s, seed):
     want = _mixing_reference(mats, pi)
     assert got[0] == want[0]
     close(got[1], want[1])
+
+
+def _relabelled(s, sigma):
+    """s with vertex v renamed sigma[v] in every step; a graph object that
+    several runs share stays shared."""
+    copies = {}
+
+    def runs(rs):
+        for g, _ in rs:
+            if id(g) not in copies:
+                copies[id(g)] = graphs.StaticGraph(s.n, sigma[g.edges])
+        return [(copies[id(g)], rep) for g, rep in rs]
+
+    return schedule.GraphSchedule(s.n, prefix_runs=runs(s.prefix_runs),
+                                  cycle_runs=runs(s.cycle_runs or []) or None)
+
+
+_A, _B = _graph(schedule.SPARSE_MIN_N, 400, 10, 2), _graph(schedule.SPARSE_MIN_N, 300, 0, 3)
+# CSC steps whose graphs recur in the prefix and the period, around a dense one
+_SHARED_GRAPHS = schedule.GraphSchedule(
+    schedule.SPARSE_MIN_N, prefix_runs=[(_B, 1)],
+    cycle_runs=[(_A, 1), (_B, 2), (_A, 1), (_graph(schedule.SPARSE_MIN_N, 3000, 0, 4), 1),
+                (_A, 2)])
+
+
+@settings(max_examples=40)
+@given(s=operator_schedules(), seed=st.integers(0, 2**32))
+@example(s=_SHARED_GRAPHS, seed=1)
+def test_relabelling_permutes_every_output(s, seed):
+    """Oracle independent of the step operators: naming vertex v sigma[v] in
+    every step permutes every output by sigma, to 1e-12, and keeps t_mix."""
+    n, T = s.n, OPERATOR_STEPS
+    rng = np.random.default_rng(seed)
+    sigma = rng.permutation(n)
+    r = _relabelled(s, sigma)
+
+    def renamed(x):
+        y = np.empty_like(x)
+        y[sigma] = x
+        return y
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    p0 = rng.random(n) + 0.1
+    p0 /= p0.sum()
+    for got, want in zip(walks.evolve_trace(r, renamed(p0), T), walks.evolve_trace(s, p0, T),
+                         strict=True):
+        close(got[sigma], want)
+
+    u, v, *rest = rng.choice(n, 6, replace=False).tolist()
+    queries = [(u, {v}), (u, set(rest)), (v, {u, *rest})]
+    moved = [(int(sigma[a]), {int(sigma[b]) for b in tgt}) for a, tgt in queries]
+    ests = walks.exact_hitting_batch(s, queries, t_max=T, eps=0.0)
+    for got, want in zip(walks.exact_hitting_batch(r, moved, t_max=T, eps=0.0), ests,
+                         strict=True):
+        assert (got.T, got.status) == (want.T, want.status)
+        close([got.lower, got.residual_mass], [want.lower, want.residual_mass])
+
+    pi = rng.random(n) + 0.1
+    pi /= pi.sum()
+
+    def mixing(s, pi):
+        try:
+            return "mixed", walks.measure_mixing(s, pi, horizon=T)
+        except TruncationError as err:
+            return "truncated", err.value
+
+    got, want = mixing(r, renamed(pi)), mixing(s, pi)
+    assert got[0] == want[0]
+    if got[0] == "mixed":
+        assert got[1] == want[1]
+    else:
+        close(got[1], want[1])
 
 
 def test_monte_carlo_k2_geometric_mean():
