@@ -44,8 +44,8 @@ for rho in (2, 4):
 print("-- voltage ordering with connected prefixes (barbell, end to end)")
 g = graphs.barbell_graph(9)
 volt = commute.solve_voltage(g, 0, 8)
-lab = commute.connected_labelling(g, volt)
-print(f"  order {lab.order.tolist()} ({lab.status})")
-print(f"  voltages {np.round(volt.values[lab.order], 3).tolist()}")
+order = commute.connected_labelling(g, volt)
+print(f"  order {order.tolist()}")
+print(f"  voltages {np.round(volt.values[order], 3).tolist()}")
 print(f"  1/E(g,g) = {commute.voltage_commute_bound(g, volt):.1f} "
       f"= exact commute {commute.exact_commute(g, 0, 8):.1f}")

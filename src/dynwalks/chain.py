@@ -27,9 +27,8 @@ _MASK_CHUNK = 1 << 16
 
 @dataclass
 class StationaryDistribution:
-    """A stationary distribution pi and its smallest entry pi_star."""
+    """A stationary distribution pi."""
     pi: np.ndarray
-    pi_star: float
 
 
 def _lazy_entries(g: StaticGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -101,12 +100,10 @@ def degree_stationary(g: StaticGraph) -> StationaryDistribution:
     if g.m == 0:
         raise GraphError("degree stationary distribution needs at least one edge")
     pi = g.degree / (2.0 * g.m)
-    return StationaryDistribution(pi=pi, pi_star=float(pi[pi > 0].min()))
+    return StationaryDistribution(pi=pi)
 
 
 def _pi_array(pi) -> np.ndarray:
-    if isinstance(pi, StationaryDistribution):
-        return pi.pi
     return np.asarray(pi, dtype=float)
 
 

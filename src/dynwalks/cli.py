@@ -4,8 +4,9 @@ Verbs: gen, mix, hit, cover, verify <inequality-id>, commute, suite <name>.
 CSV reports land in --out or $DYNWALKS_OUTDIR (default ./reports).  Exit
 status 0 means every checked bound passed and 1 that one failed; a usage
 error (an unread or out-of-range flag, a vertex outside the graph, a missing
-or malformed input file, a disconnected graph for `commute`) exits 2 with a
-usage line before any file is written.
+or malformed input file, a disconnected graph for `commute`, a schedule with
+no common pi for `mix`) exits 2 with a usage line before any file is written;
+a `hit` or `mix` run that its horizon cuts short is flagged truncated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from . import commute as commute_mod
 from . import constructions, graphs, schedule, walks
-from .errors import GenerationError, GraphError
+from .errors import GenerationError, GraphError, TruncationError, ValidationError
 from .reporting import (
     BoundReport,
     default_out_dir,
@@ -101,10 +102,10 @@ def _read_flags(ap, args, target: str, registry: dict, names, flags) -> dict:
 
 
 def _build(ap, target: str, fn, kwargs: dict):
-    """``fn(**kwargs)``; a value the builder rejects exits with status 2."""
+    """``fn(**kwargs)``; an input it rejects exits with status 2."""
     try:
         return fn(**kwargs)
-    except GraphError as err:
+    except (GraphError, ValidationError) as err:
         ap.error(f"{target}: {err}")
 
 
@@ -191,16 +192,20 @@ def _cmd_gen(args, s: schedule.GraphSchedule) -> int:
     return 0
 
 
-def _cmd_mix(args, s: schedule.GraphSchedule) -> int:
-    pi = schedule.validate_common_stationary(s, horizon=args.horizon or 100).pi
-    t = walks.measure_mixing(s, pi, threshold=args.threshold,
-                             horizon=args.horizon)
-    print(f"t_mix={t}")
+def _cmd_mix(args, s: schedule.GraphSchedule, pi) -> int:
+    status, extra = "ok", {}
+    try:
+        t = walks.measure_mixing(s, pi, threshold=args.threshold, horizon=args.horizon)
+        print(f"t_mix={t}")
+    except TruncationError as err:  # not mixed by --horizon: flagged, as `hit` does
+        t, status, extra = err.t, "truncated", {"worst_sq_norm": err.value}
+        print(f"t_mix>{t} worst_sq_norm={err.value:.3e}")
     if args.out:
         rep = BoundReport(suite="cli", inequality_id="mix", instance=args.schedule,
                           lhs=float(t), rhs=float(t), tolerance=0.0,
                           provenance="DERIVED", n=s.n,
-                          schedule_hash=schedule.schedule_hash(s))
+                          schedule_hash=schedule.schedule_hash(s), status=status,
+                          extra=extra)
         write_report_csv(args.out, [rep])
     return 0
 
@@ -232,7 +237,7 @@ def _cmd_cover(args, s: schedule.GraphSchedule) -> int:
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
     reports, path, ok = run_suite(cfg)
-    digest, _ = summarize([path])
+    digest, _ = summarize(reports)
     print(digest)
     print(f"report: {path}")
     return 0 if ok else 1
@@ -273,13 +278,10 @@ def _cmd_commute(args, g: graphs.StaticGraph, kwargs) -> int:
 
 
 def _cmd_suite(cfgs: list[ExperimentConfig]) -> int:
-    paths = []
-    ok = True
+    reports = []
     for cfg in cfgs:
-        _, path, passed = run_suite(cfg)
-        paths.append(path)
-        ok = ok and passed
-    digest, _ = summarize(paths)
+        reports += run_suite(cfg)[0]
+    digest, ok = summarize(reports)
     print(digest)
     return 0 if ok else 1
 
@@ -337,7 +339,11 @@ def main(argv=None) -> int:
         _check_vertices(ap, "hit", {"u": args.u, "v": args.v}, s.n)
     if args.command == "cover":
         _check_vertices(ap, "cover", {"start": args.start}, s.n)
-    handlers = {"mix": _cmd_mix, "hit": _cmd_hit, "cover": _cmd_cover}
+    if args.command == "mix":  # a schedule with no common pi has nothing to mix towards
+        pi = _build(ap, "mix", schedule.validate_common_stationary,
+                    {"s": s, "horizon": args.horizon or 100}).pi
+        return _cmd_mix(args, s, pi)
+    handlers = {"hit": _cmd_hit, "cover": _cmd_cover}
     return handlers[args.command](args, s)
 
 

@@ -119,15 +119,8 @@ def voltage_commute_bound(g: StaticGraph, volt: VoltageFunction) -> float:
     return 1.0 / chain.dirichlet_form_edges(g, volt.values)
 
 
-@dataclass
-class Labelling:
-    """A vertex ordering with the boundary size and flow of each proper prefix."""
-    order: np.ndarray             # order[j] = vertex with rank j
-    prefix_boundaries: np.ndarray  # |boundary([j])| for j = 1..n-1
-    prefix_flows: np.ndarray       # Q([j], V - [j]) for j = 1..n-1
-
-
 def _prefix_cuts(g: StaticGraph, order: np.ndarray) -> np.ndarray:
+    """|boundary([j])| of the prefixes [j], j = 1..n-1, of ``order``."""
     pos = np.empty(g.n, dtype=np.int64)
     pos[order] = np.arange(g.n)
     pu, pv = pos[g.edges[:, 0]], pos[g.edges[:, 1]]
@@ -150,15 +143,12 @@ def _tie_rank(values: np.ndarray) -> np.ndarray:
     return rank.reshape(values.shape)
 
 
-def voltage_labelling(g: StaticGraph, volt: VoltageFunction) -> Labelling:
+def voltage_labelling(g: StaticGraph, volt: VoltageFunction) -> np.ndarray:
     """Vertices by non-decreasing voltage rank, ties by index, s first and t last."""
     key = volt.values.copy()
     key[volt.s] = -np.inf
     key[volt.t] = np.inf
-    order = np.lexsort((np.arange(g.n), _tie_rank(key)))
-    cuts = _prefix_cuts(g, order)
-    flows = cuts / (4.0 * g.m)
-    return Labelling(order=order, prefix_boundaries=cuts, prefix_flows=flows)
+    return np.lexsort((np.arange(g.n), _tie_rank(key)))
 
 
 @dataclass
@@ -168,14 +158,14 @@ class CutBound:
     literal_2m: float  # simple-walk (2m) normalization, for comparison
 
 
-def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[Labelling, CutBound]:
-    """Voltage-ordered prefix-cut upper bounds on the lazy commute time."""
-    volt = solve_voltage(g, s, t)
-    lab = voltage_labelling(g, volt)
-    inv = 1.0 / lab.prefix_boundaries
-    flow = float(np.sum(1.0 / lab.prefix_flows))
-    literal = float(2.0 * g.m * inv.sum())
-    return lab, CutBound(flow=flow, literal_2m=literal)
+def cut_sum_upper(g: StaticGraph, s: int, t: int) -> tuple[np.ndarray, CutBound]:
+    """The voltage ordering of s and t, and its prefix-cut upper bounds on the
+    lazy commute time."""
+    order = voltage_labelling(g, solve_voltage(g, s, t))
+    cuts = _prefix_cuts(g, order)
+    flow = float(np.sum(1.0 / (cuts / (4.0 * g.m))))
+    literal = float(2.0 * g.m * (1.0 / cuts).sum())
+    return order, CutBound(flow=flow, literal_2m=literal)
 
 
 def cut_sums_from(g: StaticGraph, s: int) -> np.ndarray:
@@ -199,14 +189,7 @@ def cut_sums_from(g: StaticGraph, s: int) -> np.ndarray:
     return flows
 
 
-@dataclass
-class ConnectedLabelling:
-    """A voltage-monotone ordering with connected prefixes, or None if not found."""
-    order: np.ndarray | None
-    status: str          # "found-greedy" | "not-found"
-
-
-def connected_labelling(g: StaticGraph, volt: VoltageFunction) -> ConnectedLabelling:
+def connected_labelling(g: StaticGraph, volt: VoltageFunction) -> np.ndarray | None:
     """A voltage-monotone ordering whose every prefix induces a connected
     subgraph: from s, repeatedly add the lowest-voltage frontier vertex.
 
@@ -215,8 +198,8 @@ def connected_labelling(g: StaticGraph, volt: VoltageFunction) -> ConnectedLabel
     lowest frontier vertex never lies below the last vertex added.  The
     ordering's last vertex carries voltage 1 but need not be t itself (a
     pendant neighbor of t ties at voltage 1 and can only come after t).
-    Voltages within 1e-9 count as equal; a walk that roundoff stops anyway is
-    flagged not-found, never fabricated."""
+    Voltages within 1e-9 count as equal; a walk that roundoff stops anyway
+    returns None, never a fabricated ordering."""
     n, s = g.n, volt.s
     gv = volt.values
     rank = _tie_rank(gv)
@@ -228,11 +211,11 @@ def connected_labelling(g: StaticGraph, volt: VoltageFunction) -> ConnectedLabel
             {int(w) for u in order for w in g.neighbors(u) if not used[w]},
             key=lambda w: (rank[w], w))
         if not frontier or gv[frontier[0]] < gv[order[-1]] - 1e-9:
-            return ConnectedLabelling(order=None, status="not-found")
+            return None
         pick = frontier[0]
         order.append(pick)
         used[pick] = True
-    return ConnectedLabelling(order=np.array(order), status="found-greedy")
+    return np.array(order)
 
 
 def prefixes_connected(g: StaticGraph, order) -> bool:

@@ -348,7 +348,7 @@ def expander_graph(n: int, seed=0, forbidden_edges=None) -> StaticGraph:
         forbidden_edges = []
     forbid = {tuple(sorted(map(int, e))) for e in forbidden_edges}
     for t in range(400):
-        g = random_regular_graph(n, 3, derived_rng(_entropy_of(seed), t))
+        g = random_regular_graph(n, 3, derived_rng(seed, t))
         if forbid and any((int(a), int(b)) in forbid for a, b in g.edges):
             continue
         if not is_connected(g):
@@ -356,13 +356,6 @@ def expander_graph(n: int, seed=0, forbidden_edges=None) -> StaticGraph:
         if _lazy_gap_regular(g) >= gap_min:
             return g
     raise GenerationError(f"no expander with gap >= {gap_min} in 400 tries")
-
-
-def _entropy_of(seed) -> int:
-    if isinstance(seed, np.random.Generator):
-        # draw a stable sub-entropy once; callers normally pass ints
-        return int(seed.integers(0, 2**63 - 1))
-    return int(seed)
 
 
 def _lazy_gap_regular(g: StaticGraph) -> float:

@@ -62,7 +62,7 @@ class BoundReport:
         return [
             self.suite, self.inequality_id, self.instance, str(self.n),
             "" if self.seed is None else str(self.seed), self.schedule_hash,
-            _fmt(self.lhs), _fmt(self.rhs), _fmt(self.margin), _fmt(self.tolerance),
+            repr(self.lhs), repr(self.rhs), repr(self.margin), repr(self.tolerance),
             "1" if self.passed else "0", self.provenance, self.status,
             json.dumps(self.extra, sort_keys=True) if self.extra else "",
         ]
@@ -85,12 +85,6 @@ def _plain(v):
     return v
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
 def default_out_dir() -> str:
     return os.environ.get("DYNWALKS_OUTDIR", "reports")
 
@@ -107,31 +101,6 @@ def write_report_csv(path, reports, config_doc=None) -> None:
         if config_doc is not None:
             fh.write(f"# config {json.dumps(config_doc, sort_keys=True)}\n")
         fh.write(buf.getvalue())
-
-
-class ReportParseError(ValueError):
-    def __init__(self, message, line):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
-
-
-def read_report_rows(path) -> list[dict]:
-    with open(path) as fh:
-        numbered = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
-    if not numbered:
-        raise ReportParseError("empty report", line=1)
-    header_line, header = numbered[0]
-    cols = next(csv.reader([header]))
-    if cols != CSV_COLUMNS:
-        raise ReportParseError(f"unexpected header {cols!r}", line=header_line)
-    rows = []
-    for lineno, ln in numbered[1:]:
-        vals = next(csv.reader([ln]))
-        if len(vals) != len(CSV_COLUMNS):
-            raise ReportParseError(
-                f"expected {len(CSV_COLUMNS)} fields, found {len(vals)}", line=lineno)
-        rows.append(dict(zip(CSV_COLUMNS, vals)))
-    return rows
 
 
 def csv_body(path) -> bytes:
@@ -156,33 +125,28 @@ def loglog_slope(sizes, values) -> tuple[float, float] | None:
     return slope, se
 
 
-def summarize(paths) -> tuple[str, bool]:
-    """Human-readable digest across report files; False if anything failed."""
+def summarize(reports) -> tuple[str, bool]:
+    """Human-readable digest of report rows, by suite in name order; False if
+    anything failed."""
     lines = []
     all_ok = True
-    for path in paths:
-        rows = read_report_rows(path)
-        by_suite: dict[str, list[dict]] = {}
-        for r in rows:
-            by_suite.setdefault(r["suite"], []).append(r)
-        for suite, items in sorted(by_suite.items()):
-            passed = sum(r["passed"] == "1" for r in items)
-            failed = len(items) - passed
-            worst = min(float(r["margin"]) for r in items)
-            lines.append(f"{suite}: {passed}/{len(items)} passed, worst margin {worst:.3e}")
-            if failed:
-                all_ok = False
-                for r in items:
-                    if r["passed"] != "1":
-                        lines.append(
-                            f"  FAIL {r['id']} {r['instance']}: "
-                            f"lhs={r['lhs']} rhs={r['rhs']} tol={r['tolerance']}")
-            scaling = [r for r in items if r["id"].endswith("scaling") and r["n"] not in ("", "0")]
-            groups: dict[str, list[dict]] = {}
-            for r in scaling:
-                groups.setdefault(r["id"], []).append(r)
-            for gid, grp in sorted(groups.items()):
-                fit = loglog_slope([int(r["n"]) for r in grp], [float(r["lhs"]) for r in grp])
-                if fit is not None:
-                    lines.append(f"  {gid}: log-log slope {fit[0]:.3f} +/- {fit[1]:.3f}")
+    by_suite: dict[str, list[BoundReport]] = {}
+    for r in reports:
+        by_suite.setdefault(r.suite, []).append(r)
+    for suite, items in sorted(by_suite.items()):
+        failed = [r for r in items if not r.passed]
+        all_ok = all_ok and not failed
+        worst = min(r.margin for r in items)
+        lines.append(f"{suite}: {len(items) - len(failed)}/{len(items)} passed, "
+                     f"worst margin {worst:.3e}")
+        lines += [f"  FAIL {r.inequality_id} {r.instance}: "
+                  f"lhs={r.lhs!r} rhs={r.rhs!r} tol={r.tolerance!r}" for r in failed]
+        groups: dict[str, list[BoundReport]] = {}
+        for r in items:
+            if r.inequality_id.endswith("scaling") and r.n != 0:
+                groups.setdefault(r.inequality_id, []).append(r)
+        for gid, grp in sorted(groups.items()):
+            fit = loglog_slope([r.n for r in grp], [r.lhs for r in grp])
+            if fit is not None:
+                lines.append(f"  {gid}: log-log slope {fit[0]:.3f} +/- {fit[1]:.3f}")
     return "\n".join(lines), all_ok

@@ -232,7 +232,7 @@ def validate_common_stationary(s: GraphSchedule, horizon: int) -> chain.Stationa
         if res > PI_TOL:
             raise ValidationError(
                 f"pi is not stationary for step {t} (residual {res:.3e})", step=t)
-    return chain.StationaryDistribution(pi=pi, pi_star=float(pi[pi > 0].min()))
+    return chain.StationaryDistribution(pi=pi)
 
 
 def _first_steps(s: GraphSchedule, horizon: int):
@@ -259,7 +259,6 @@ def _first_steps(s: GraphSchedule, horizon: int):
 class WindowAverage:
     """The average walk matrix over a window of steps, with its spectral gap."""
     matrix: np.ndarray
-    window: tuple[int, int]  # (t1, w): steps t1+1 .. t1+w
     ergodic: bool
     gap: float
 
@@ -285,13 +284,13 @@ def window_average(s: GraphSchedule, t1: int, w: int, pi=None) -> WindowAverage:
     M /= w
     ergodic = window_ergodic(s, t1, w)
     if not ergodic:
-        return WindowAverage(matrix=M, window=(t1, w), ergodic=False, gap=0.0)
+        return WindowAverage(matrix=M, ergodic=False, gap=0.0)
     if pi is None:
         pi = s.pi
     if pi is None:
         pi = validate_common_stationary(s, t1 + w).pi
     gap = chain.spectral_gap(M, pi)
-    return WindowAverage(matrix=M, window=(t1, w), ergodic=True, gap=gap)
+    return WindowAverage(matrix=M, ergodic=True, gap=gap)
 
 
 def min_window_gap(s: GraphSchedule, w: int, horizon: int, pi=None) -> float:

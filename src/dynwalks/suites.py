@@ -537,28 +537,24 @@ def suite_connected_labelling() -> list[BoundReport]:
         missing = 0
         invalid = 0
         pairs = 0
-        greedy_hits = 0
         for s in range(g.n):
             for t in range(g.n):
                 if s == t:
                     continue
                 pairs += 1
                 volt = commute.solve_voltage(g, s, t)
-                lab = commute.connected_labelling(g, volt)
-                if lab.order is None:
+                order = commute.connected_labelling(g, volt)
+                if order is None:
                     missing += 1
                     continue
-                if lab.status == "found-greedy":
-                    greedy_hits += 1
-                mono = np.all(np.diff(volt.values[lab.order]) >= -1e-9)
-                ends = lab.order[0] == s and abs(volt.values[lab.order[-1]] - 1.0) <= 1e-9
-                if not (mono and ends and commute.prefixes_connected(g, lab.order)):
+                mono = np.all(np.diff(volt.values[order]) >= -1e-9)
+                ends = order[0] == s and abs(volt.values[order[-1]] - 1.0) <= 1e-9
+                if not (mono and ends and commute.prefixes_connected(g, order)):
                     invalid += 1
         out.append(BoundReport(
             suite="connected-labelling", inequality_id="connected-labelling-exists",
             instance=f"{name}: {pairs} ordered pairs", lhs=float(missing + invalid),
-            rhs=0.0, tolerance=0.0, provenance="PAPER", n=g.n,
-            extra={"greedy_rate": round(greedy_hits / pairs, 4) if pairs else 1.0}))
+            rhs=0.0, tolerance=0.0, provenance="PAPER", n=g.n))
     return out
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 from hypothesis import settings
 
@@ -23,3 +25,12 @@ def write_graph_text():
 def edge_set():
     """The edges of a StaticGraph as a set of (u, v) pairs with u < v."""
     return lambda g: {(int(u), int(v)) for u, v in g.edges}
+
+
+@pytest.fixture
+def read_rows():
+    """The rows of a report CSV as dicts keyed by its header, '#' lines skipped."""
+    def read(path):
+        with open(path) as fh:
+            return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    return read

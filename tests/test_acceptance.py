@@ -116,11 +116,9 @@ def test_criterion_10_commute_sandwich(tmp_path):
 
 def test_criterion_11_connected_labelling(tmp_path):
     reports, ok, _ = _run(tmp_path, "connected-labelling")
-    rate = min(r.extra["greedy_rate"] for r in reports)
     missing = sum(r.lhs for r in reports)
     ok = ok and missing == 0
-    _line(11, ok, f"{len(reports)} graphs, all ordered (s,t) pairs have orderings; "
-                  f"min greedy rate {rate}")
+    _line(11, ok, f"{len(reports)} graphs, all ordered (s,t) pairs have orderings")
 
 
 def test_criterion_12_eq_interesting(tmp_path):

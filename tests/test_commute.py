@@ -196,9 +196,9 @@ def test_voltage_is_the_maximiser():
 def test_cut_sum_upper_path_tight_and_k2():
     for n in (3, 6, 10):
         g = graphs.path_graph(n)
-        lab, bounds = commute.cut_sum_upper(g, 0, n - 1)
-        assert np.array_equal(lab.order, np.arange(n))
-        assert np.all(lab.prefix_boundaries == 1)
+        order, bounds = commute.cut_sum_upper(g, 0, n - 1)
+        assert np.array_equal(order, np.arange(n))
+        assert np.all(commute._prefix_cuts(g, order) == 1)
         assert bounds.flow == pytest.approx(4.0 * (n - 1) ** 2, abs=1e-9)
         assert bounds.literal_2m == pytest.approx(2.0 * (n - 1) ** 2, abs=1e-9)
     _, k2b = commute.cut_sum_upper(graphs.complete_graph(2), 0, 1)
@@ -217,33 +217,33 @@ def test_cut_sum_upper_dominates_exact():
 
 def test_labelling_prefix_flows_match_boundaries():
     g = graphs.gnp_connected_graph(8, 0.5, 5)
-    lab, _ = commute.cut_sum_upper(g, 0, 7)
-    assert np.allclose(lab.prefix_flows, lab.prefix_boundaries / (4.0 * g.m))
-    assert np.all(lab.prefix_boundaries >= 1)
+    order, bounds = commute.cut_sum_upper(g, 0, 7)
+    cuts = commute._prefix_cuts(g, order)
+    assert np.all(cuts >= 1)
+    assert bounds.flow == pytest.approx(4.0 * g.m * np.sum(1.0 / cuts))
 
 
 def test_connected_labelling_path_identity_and_cycle():
     g = graphs.path_graph(6)
     volt = commute.solve_voltage(g, 0, 5)
-    lab = commute.connected_labelling(g, volt)
-    assert lab.status == "found-greedy"
-    assert np.array_equal(lab.order, np.arange(6))
+    order = commute.connected_labelling(g, volt)
+    assert np.array_equal(order, np.arange(6))
     c6 = graphs.cycle_graph(6)
     volt = commute.solve_voltage(c6, 0, 3)
-    lab = commute.connected_labelling(c6, volt)
-    assert lab.order is not None
-    assert commute.prefixes_connected(c6, lab.order)
-    assert np.all(np.diff(volt.values[lab.order]) >= -1e-9)
+    order = commute.connected_labelling(c6, volt)
+    assert order is not None
+    assert commute.prefixes_connected(c6, order)
+    assert np.all(np.diff(volt.values[order]) >= -1e-9)
 
 
 def _assert_greedy_labelling(g, s, t):
     volt = commute.solve_voltage(g, s, t)
-    lab = commute.connected_labelling(g, volt)
-    assert lab.status == "found-greedy"
-    assert lab.order[0] == s and sorted(lab.order) == list(range(g.n))
-    assert commute.prefixes_connected(g, lab.order)
-    assert np.all(np.diff(volt.values[lab.order]) >= -1e-9)
-    assert volt.values[lab.order[-1]] == pytest.approx(1.0, abs=1e-9)
+    order = commute.connected_labelling(g, volt)
+    assert order is not None
+    assert order[0] == s and sorted(order) == list(range(g.n))
+    assert commute.prefixes_connected(g, order)
+    assert np.all(np.diff(volt.values[order]) >= -1e-9)
+    assert volt.values[order[-1]] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_connected_labelling_exhaustive_small():
@@ -269,8 +269,7 @@ def test_connected_labelling_greedy_walk_completes(g, data):
 def test_connected_labelling_flags_a_non_harmonic_voltage():
     # the only vertex after 1 on the frontier lies below it
     volt = commute.VoltageFunction(np.array([0.0, 0.9, 0.1, 1.0]), s=0, t=3)
-    lab = commute.connected_labelling(graphs.path_graph(4), volt)
-    assert lab.order is None and lab.status == "not-found"
+    assert commute.connected_labelling(graphs.path_graph(4), volt) is None
 
 
 def test_nash_williams_path_exact_and_validation():
@@ -428,14 +427,14 @@ def test_near_tied_voltages_keep_their_order():
     # a voltage nudged by 1e-13 past its tied neighbour is still ordered by index
     g = graphs.cycle_graph(8)
     volt = commute.solve_voltage(g, 0, 4)
-    base = commute.voltage_labelling(g, volt).order
+    base = commute.voltage_labelling(g, volt)
     assert volt.values[3] == pytest.approx(volt.values[5], abs=1e-15)
     for w, delta in ((3, 1e-13), (5, -1e-13)):
         moved = commute.VoltageFunction(values=volt.values.copy(), s=0, t=4)
         moved.values[w] += delta
-        assert np.array_equal(commute.voltage_labelling(g, moved).order, base)
-        assert np.array_equal(commute.connected_labelling(g, moved).order,
-                              commute.connected_labelling(g, volt).order)
+        assert np.array_equal(commute.voltage_labelling(g, moved), base)
+        assert np.array_equal(commute.connected_labelling(g, moved),
+                              commute.connected_labelling(g, volt))
 
 
 # Oracles: the edge loop distance_layer_cutsets ran before it assigned layers

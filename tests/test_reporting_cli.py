@@ -35,12 +35,13 @@ def test_bound_report_coerces_numpy_values():
     assert "np." not in ",".join(r.row())
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip(tmp_path, read_rows):
     rows = [make_report(), make_report(lhs=3.0, rhs=1.0, status="scaling", n=8,
                                        extra={"k": 2})]
     path = tmp_path / "r.csv"
     reporting.write_report_csv(path, rows, config_doc={"suite": "s"})
-    parsed = reporting.read_report_rows(path)
+    parsed = read_rows(path)
+    assert list(parsed[0]) == reporting.CSV_COLUMNS
     assert len(parsed) == 2
     assert parsed[0]["passed"] == "1" and parsed[1]["passed"] == "0"
     assert json.loads(parsed[1]["extra"]) == {"k": 2}
@@ -55,7 +56,7 @@ def test_csv_body_skips_timestamp_header(tmp_path):
     assert b"generated" not in body
 
 
-def test_summarize_reports_failures_and_slopes(tmp_path):
+def test_summarize_reports_failures_and_slopes():
     rows = [
         make_report(suite="demo"),
         make_report(suite="demo", lhs=5.0, rhs=1.0, instance="bad"),
@@ -66,24 +67,10 @@ def test_summarize_reports_failures_and_slopes(tmp_path):
         make_report(suite="demo", inequality_id="x-scaling", lhs=160.0, rhs=160.0, n=32,
                     status="scaling"),
     ]
-    path = tmp_path / "s.csv"
-    reporting.write_report_csv(path, rows)
-    digest, ok = reporting.summarize([path])
+    digest, ok = reporting.summarize(rows)
     assert not ok
     assert "FAIL" in digest and "bad" in digest
     assert "slope 2.000" in digest
-
-
-def test_read_report_rows_parse_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# generated now\n" + ",".join(reporting.CSV_COLUMNS)
-                    + "\ns,iq,i,1,,h,1.0,2.0\n")
-    with pytest.raises(reporting.ReportParseError) as err:
-        reporting.read_report_rows(path)
-    assert err.value.line == 3
-    path.write_text("wrong,header\n")
-    with pytest.raises(reporting.ReportParseError):
-        reporting.read_report_rows(path)
 
 
 def test_loglog_slope():
@@ -104,7 +91,7 @@ def test_experiment_config_rejects_unknown_keys():
         run_suite(ExperimentConfig(suite="no-such-suite"))
 
 
-def test_run_suite_error_record(tmp_path, monkeypatch):
+def test_run_suite_error_record(tmp_path, monkeypatch, read_rows):
     from dynwalks import suites
 
     def boom():
@@ -114,7 +101,7 @@ def test_run_suite_error_record(tmp_path, monkeypatch):
     cfg = ExperimentConfig(suite="eq-interesting", out=str(tmp_path))
     with pytest.raises(GraphError):
         run_suite(cfg)
-    rows = reporting.read_report_rows(tmp_path / "eq-interesting.csv")
+    rows = read_rows(tmp_path / "eq-interesting.csv")
     assert rows[0]["id"] == "suite-error"
     assert rows[0]["status"] == "error"
     assert "bad precondition" in rows[0]["instance"]
@@ -147,6 +134,38 @@ def test_cli_gen_mix_hit_cover(tmp_path):
                      "--seed", "3"]) == 0
 
 
+def test_cli_mix_without_a_common_pi_exits_2(tmp_path, capsys):
+    sched = tmp_path / "nm.json"
+    assert cli.main(["gen", "nomixing", "--n", "200", "--t", "6", "--out", str(sched)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mix", "--schedule", str(sched), "--out", str(out / "mix.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error: mix: degree sequence changes at step 5" in err
+    assert not list(out.iterdir())
+
+
+def test_cli_mix_flags_a_horizon_it_does_not_mix_by(tmp_path, capsys, read_rows):
+    sched = tmp_path / "nohitting.json"
+    assert cli.main(["gen", "nohitting", "--n", "16", "--out", str(sched)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "mix.csv"
+    assert cli.main(["mix", "--schedule", str(sched), "--horizon", "5",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("t_mix>5 worst_sq_norm=")
+    [row] = read_rows(out)
+    assert (row["status"], row["lhs"], row["passed"]) == ("truncated", "5.0", "1")
+    assert json.loads(row["extra"])["worst_sq_norm"] > 1.0 / 9.0
+    # with no horizon it mixes, and the row is plain
+    assert cli.main(["mix", "--schedule", str(sched), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("t_mix=")
+    [row] = read_rows(out)
+    assert row["status"] == "ok" and int(float(row["lhs"])) > 5
+
+
 def test_cli_hit_on_a_large_periodic_file(tmp_path):
     """nohitting(256): 768 steps of CSC operators on 379 distinct graphs."""
     sched = tmp_path / "nohitting.json"
@@ -155,7 +174,7 @@ def test_cli_hit_on_a_large_periodic_file(tmp_path):
                      "--tmax", "1024"]) == 0
 
 
-def test_cli_commute_on_graph_file(tmp_path, write_graph_text):
+def test_cli_commute_on_graph_file(tmp_path, write_graph_text, read_rows):
     g = graphs.circulant_graph(10, 2)
     gpath = tmp_path / "g.txt"
     write_graph_text(g, gpath)
@@ -163,7 +182,7 @@ def test_cli_commute_on_graph_file(tmp_path, write_graph_text):
     rc = cli.main(["commute", "--graph", str(gpath), "--s", "0", "--t", "5",
                    "--out", str(out)])
     assert rc == 0
-    rows = reporting.read_report_rows(out)
+    rows = read_rows(out)
     assert len(rows) == 1
     extra = json.loads(rows[0]["extra"])
     assert extra["nw_lower_flow"] <= extra["exact"] <= extra["cutsum_flow"]
@@ -482,14 +501,15 @@ def test_commute_read_table_counts():
 
 @pytest.mark.parametrize("flag", sorted(COMMUTE_VALUES))
 @pytest.mark.parametrize("family", sorted(COMMUTE_READS))
-def test_commute_accepts_exactly_the_flags_its_family_reads(tmp_path, capsys, family, flag):
+def test_commute_accepts_exactly_the_flags_its_family_reads(tmp_path, capsys, read_rows,
+                                                            family, flag):
     out = tmp_path / "c.csv"
     argv = ["commute", "--family", family,
             *_with_flag(["--n", "12"], flag, COMMUTE_VALUES[flag]),
             "--s", "0", "--t", "1", "--out", str(out)]
     if flag in COMMUTE_READS[family]:
         assert cli.main(argv) == 0
-        [row] = reporting.read_report_rows(out)
+        [row] = read_rows(out)
         # a seed is recorded only where the family draws one (default 0)
         seed = (COMMUTE_VALUES["seed"] if flag == "seed" else "0") \
             if "seed" in COMMUTE_READS[family] else ""
@@ -559,11 +579,11 @@ def test_unknown_construction_or_family_exits_2(capsys, argv):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_commute_expander3_uses_the_size_aware_gap(tmp_path):
+def test_commute_expander3_uses_the_size_aware_gap(tmp_path, read_rows):
     out = tmp_path / "c.csv"
     assert cli.main(["commute", "--family", "expander3", "--n", "128", "--s", "0",
                      "--t", "3", "--out", str(out)]) == 0
-    [row] = reporting.read_report_rows(out)
+    [row] = read_rows(out)
     assert row["passed"] == "1"
 
 
