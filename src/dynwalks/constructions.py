@@ -24,7 +24,7 @@ from .graphs import (
     circulant_graph,
     derived_rng,
     expander_graph,
-    random_regular_graph,
+    random_regular_graphs,
     torus_graph,
 )
 from .schedule import GraphSchedule
@@ -32,7 +32,24 @@ from .schedule import GraphSchedule
 
 # ---------------------------------------------------------------------------
 # generator-backed step families
+#
+# A family builds steps of a generator-backed schedule: ``family(n, params,
+# seed, ts)`` returns one entry per step of ``ts``, that step's graph or the
+# exception it raises.  ``GraphSchedule.step(t)`` asks a family for step t
+# alone, or, when the family has a ``block`` width B, for every step of t's
+# aligned block (B(i-1)+1 .. Bi) that the schedule does not hold.
 # ---------------------------------------------------------------------------
+
+# random regular steps are drawn REGULAR_BLOCK at a time
+REGULAR_BLOCK = 8
+
+
+def _one_step(build):
+    """The family that builds each step with ``build(n, params, seed, t)``."""
+    def family(n, params, seed, ts):
+        return [build(n, params, seed, t) for t in ts]
+    return family
+
 
 def _expander_matching_step(n, params, seed, t) -> StaticGraph:
     h = n // 2
@@ -57,16 +74,30 @@ def _check_regular_degree(n, d) -> None:
         raise GraphError(f"needs 1 <= d <= min(4, n - 1) and n*d even; got n={n}, d={d}")
 
 
-def _random_regular_step(n, params, seed, t) -> StaticGraph:
-    _check_regular_degree(n, params["d"])
-    g = random_regular_graph(n, params["d"], derived_rng(int(seed), t))
+def _random_regular_steps(n, params, seed, ts) -> list:
+    """Step t is the pairing-model graph of ``derived_rng(seed, t)``, drawn
+    for all of ``ts`` in one ``random_regular_graphs`` call.  With
+    ``connected``, a disconnected step is redrawn from ``derived_rng(seed, t,
+    attempt)`` for attempt = 1, 2, ..., 200 until one connects."""
+    d, seed = params["d"], int(seed)
+    _check_regular_degree(n, d)
+    made = random_regular_graphs(n, d, [derived_rng(seed, t) for t in ts])
     if params.get("connected"):
-        attempt = 0
-        while not is_connected(g):
-            attempt += 1
-            if attempt > 200:
-                raise GraphError("no connected regular sample in 200 attempts")
-            g = random_regular_graph(n, params["d"], derived_rng(int(seed), t, attempt))
+        made = [_connected_redraw(n, d, seed, t, g) for t, g in zip(ts, made)]
+    return made
+
+
+_random_regular_steps.block = REGULAR_BLOCK
+
+
+def _connected_redraw(n, d, seed, t, g):
+    """g, or step t's first connected redraw; a failure is returned, not raised."""
+    attempt = 0
+    while not (isinstance(g, Exception) or is_connected(g)):
+        attempt += 1
+        if attempt > 200:
+            return GraphError("no connected regular sample in 200 attempts")
+        g = random_regular_graphs(n, d, [derived_rng(seed, t, attempt)])[0]
     return g
 
 
@@ -154,11 +185,11 @@ def _nohitting_doubled_step(n2, params, seed, t) -> StaticGraph:
 
 
 GENERATOR_FAMILIES = {
-    "expander_matching": _expander_matching_step,
-    "random_regular_sequence": _random_regular_step,
-    "torus_relabelled": _torus_relabelled_step,
-    "nomixing": _nomixing_step,
-    "nohitting_doubled": _nohitting_doubled_step,
+    "expander_matching": _one_step(_expander_matching_step),
+    "random_regular_sequence": _random_regular_steps,
+    "torus_relabelled": _one_step(_torus_relabelled_step),
+    "nomixing": _one_step(_nomixing_step),
+    "nohitting_doubled": _one_step(_nohitting_doubled_step),
 }
 
 

@@ -68,6 +68,19 @@ class StaticGraph:
             keys = np.sort(lo * n + hi)
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
             e = np.column_stack([keys // n, keys % n])
+        self._build(n, e)
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray) -> StaticGraph:
+        """The graph whose edge keys lo*n + hi are ``keys``, which are already
+        sorted, unique and loop-free: ``__init__``'s checks and sort are skipped."""
+        e = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, n, out=(e[:, 0], e[:, 1]))
+        g = cls.__new__(cls)
+        g._build(n, e)
+        return g
+
+    def _build(self, n: int, e: np.ndarray) -> None:
         self.n = n
         self.edges = e
         self.m = int(e.shape[0])
@@ -285,41 +298,70 @@ def complete_prism_graph(n: int) -> StaticGraph:
 
 
 def random_regular_graph(n: int, d: int, seed) -> StaticGraph:
-    """Pairing-model d-regular graph, rejecting self-loops and multi-edges.
+    """Pairing-model d-regular graph, rejecting self-loops and multi-edges:
+    the one-generator case of ``random_regular_graphs``, which raises
+    ``GenerationError`` after ``REGULAR_RETRY_CAP`` failed attempts."""
+    g = random_regular_graphs(n, d, [as_rng(seed)])[0]
+    if isinstance(g, GenerationError):
+        raise g
+    return g
 
-    Attempts are drawn in batches, but the graph and the attempt count before
-    ``GenerationError`` are those of one ``rng.permutation(stubs)`` per
-    attempt.  A Generator passed in is left past the whole batch.
+
+def random_regular_graphs(n: int, d: int, rngs) -> list:
+    """One pairing-model d-regular graph per Generator of ``rngs``: its first
+    ``rng.permutation(stubs)`` attempt with no self-loop and no multi-edge,
+    or a ``GenerationError`` (returned, not raised) once ``REGULAR_RETRY_CAP``
+    attempts have failed.
+
+    Attempts are drawn in rounds of k rows (4, 8, 16, ..., at most
+    ``REGULAR_BATCH_STUBS`` stubs and at least one row) from each Generator
+    still without a graph, and each round is rejected in one pass over all
+    its rows.  A Generator is left past its last round.
     """
     if d < 1 or d >= n:
         raise GraphError("need 1 <= d < n")
     if (n * d) % 2 != 0:
         raise GraphError("n*d must be even")
-    rng = as_rng(seed)
     stubs = np.repeat(np.arange(n), d)
     most = max(1, REGULAR_BATCH_STUBS // stubs.size)
     tiled = np.tile(stubs, (most, 1))
+    rows = np.empty((len(rngs) * most, stubs.size), dtype=stubs.dtype)
+    out = [None] * len(rngs)
+    live = list(range(len(rngs)))  # the Generators without a graph, in order
     drawn, k = 0, min(REGULAR_BATCH_START, most)
-    while drawn < REGULAR_RETRY_CAP:
+    while live and drawn < REGULAR_RETRY_CAP:
         k = min(k, REGULAR_RETRY_CAP - drawn)
-        # row i is the i-th of k successive rng.permutation(stubs) draws:
-        # checked on numpy 2.4.6 and guarded by
+        # rows i*k .. i*k+k-1 are the next k successive rng.permutation(stubs)
+        # draws of rngs[live[i]]: checked on numpy 2.4.6 and guarded by
         # test_random_regular_matches_2d_rejection_oracle and the golden digests
-        perm = rng.permuted(tiled[:k], axis=1)
+        for i, j in enumerate(live):
+            rngs[j].permuted(tiled[:k], axis=1, out=rows[i * k:i * k + k])
+        perm = rows[:len(live) * k]
         a, b = perm[:, 0::2], perm[:, 1::2]
         free = (a != b).all(axis=1).nonzero()[0]
         if free.size:
-            a, b = a[free], b[free]
+            if free.size < len(perm):
+                perm = perm[free]
+                a, b = perm[:, 0::2], perm[:, 1::2]
             # sorted 1-D keys lo*n + hi: a repeat is a multi-edge, and the keys
             # are the accepted graph's canonical (lexicographic) edge list
-            keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=1)
+            keys = np.minimum(a, b)
+            keys *= n
+            keys += np.maximum(a, b)
+            keys.sort(axis=1)
             simple = (keys[:, 1:] != keys[:, :-1]).all(axis=1).nonzero()[0]
             if simple.size:
-                key = keys[simple[0]]
-                return StaticGraph(n, np.column_stack([key // n, key % n]))
+                # rows run in Generator order, so each keeps its first simple row
+                for r in simple:
+                    j = live[free[r] // k]
+                    if out[j] is None:
+                        out[j] = StaticGraph._from_keys(n, keys[r])
+                live = [j for j in live if out[j] is None]
         drawn += k
         k = min(2 * k, most)
-    raise GenerationError(f"pairing model failed after {REGULAR_RETRY_CAP} attempts")
+    for j in live:
+        out[j] = GenerationError(f"pairing model failed after {REGULAR_RETRY_CAP} attempts")
+    return out
 
 
 def gnp_connected_graph(n: int, p: float = 0.5, seed=0) -> StaticGraph:

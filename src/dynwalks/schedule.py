@@ -3,8 +3,13 @@
 A schedule serves ``step(t)`` for t >= 1.  Three kinds exist: a finite list,
 a periodic list (optionally preceded by a finite prefix), and a seeded
 generator that materializes steps on demand.  Stored steps are served
-straight from their runs; generated steps are memoized so repeated traversals
-stay cheap.
+straight from their runs; generated steps are memoized, up to
+``_GRAPH_CACHE_CAP`` graphs, so repeated traversals stay cheap.  Random
+regular steps are drawn per aligned block of B = ``constructions.REGULAR_BLOCK``
+steps (1..B, B+1..2B, ...): a miss at step t also draws the steps of t's block
+that the schedule does not hold, in one vectorized pass, so each miss adds at
+most B - 1 graphs that were not asked for.  Every other family builds one step
+per miss.
 
 A step operator is P^T, the transpose of the lazy walk matrix P of the step's
 graph, so that one step of a distribution (or of one distribution per column)
@@ -120,6 +125,11 @@ class GraphSchedule:
         return ("c", bisect_left(self._cycle_ends, off))
 
     def step(self, t: int) -> StaticGraph:
+        """The graph of step t.  A generated step is built on a miss and
+        memoized; a random regular step is drawn with the steps of its aligned
+        block of ``constructions.REGULAR_BLOCK`` that are not held, and each is
+        the same graph as when drawn alone.  A step whose draw fails raises
+        when it is asked for, never when a block neighbour is."""
         kind, i = key = self.step_key(t)
         if kind == "p":
             return self.prefix_runs[i][0]
@@ -129,11 +139,35 @@ class GraphSchedule:
         if got is not None:
             self._graphs.move_to_end(key)
             return got
-        g = _generator_step(self.n, self.generator, t)
-        self._graphs[key] = g
-        if len(self._graphs) > _GRAPH_CACHE_CAP:
+        return self._generate(t)
+
+    def _generate(self, t: int) -> StaticGraph:
+        """Build step t and the steps of its family's aligned block that the
+        cache does not hold, and cache each one built; a step whose build
+        failed is not cached, and raises only when it is the one asked for."""
+        from . import constructions  # deferred: constructions imports this module
+
+        gen = self.generator
+        fam = constructions.GENERATOR_FAMILIES.get(gen["family"])
+        if fam is None:
+            raise GraphError(f"unknown schedule generator family {gen['family']!r}")
+        width = getattr(fam, "block", 1)
+        first = t - (t - 1) % width
+        # t goes last, so it is the newest entry and the LRU cap keeps it
+        ts = [u for u in range(first, first + width)
+              if u != t and ("g", u) not in self._graphs] + [t]
+        made = fam(self.n, gen.get("params", {}), gen.get("seed"), ts)
+        for u, g in zip(ts, made):
+            if isinstance(g, Exception):
+                continue
+            if g.n != self.n:
+                raise GraphError("generator produced a graph on the wrong vertex count")
+            self._graphs[("g", u)] = g
+        while len(self._graphs) > _GRAPH_CACHE_CAP:
             self._graphs.popitem(last=False)
-        return g
+        if isinstance(made[-1], Exception):
+            raise made[-1]
+        return made[-1]
 
     def step_matrix(self, t: int) -> np.ndarray | sparse.csc_array:
         """P^T for the lazy walk matrix P of step t: the CSC
@@ -173,18 +207,6 @@ def _lazy_transpose_csc(g: StaticGraph, keep: bool) -> sparse.csc_array:
                 a.setflags(write=False)
             g._lazy_transpose_csc = op
     return op
-
-
-def _generator_step(n, generator, t) -> StaticGraph:
-    from . import constructions  # deferred: constructions imports this module
-
-    fam = constructions.GENERATOR_FAMILIES.get(generator["family"])
-    if fam is None:
-        raise GraphError(f"unknown schedule generator family {generator['family']!r}")
-    g = fam(n, generator.get("params", {}), generator.get("seed"), t)
-    if g.n != n:
-        raise GraphError("generator produced a graph on the wrong vertex count")
-    return g
 
 
 # ---------------------------------------------------------------------------

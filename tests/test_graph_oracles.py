@@ -2,8 +2,9 @@
 
 The oracles are the earlier implementations: a 2-D ``np.unique(axis=0)``
 dedupe with ``np.add.at`` degrees, the pairing model's 2-D multi-edge
-rejection, and scipy's ``dijkstra`` and ``connected_components`` on a CSR
-matrix built from the edge list. Every comparison is exact.
+rejection, one pairing-model call per schedule step, and scipy's
+``dijkstra`` and ``connected_components`` on a CSR matrix built from the
+edge list. Every comparison is exact.
 """
 
 from unittest import mock
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from dynwalks import graphs
-from dynwalks.errors import GenerationError
+from dynwalks import constructions, graphs, schedule
+from dynwalks.errors import GenerationError, GraphError
 
 SETTINGS = settings(max_examples=200)
 
@@ -144,3 +145,108 @@ def test_random_regular_matches_2d_rejection_oracle(n, d, seed, shared, cap):
         assert got is None
     else:
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def oracle_step(n, d, seed, t, connected):
+    """Step t of ``build_random_regular_schedule`` drawn on its own: the graph
+    of ``derived_rng(seed, t)``, redrawn from ``derived_rng(seed, t, attempt)``
+    while disconnected; the exception it raises is returned."""
+    try:
+        g = graphs.random_regular_graph(n, d, graphs.derived_rng(seed, t))
+        attempt = 0
+        while connected and not graphs.is_connected(g):
+            attempt += 1
+            if attempt > 200:
+                raise GraphError("no connected regular sample in 200 attempts")
+            g = graphs.random_regular_graph(n, d, graphs.derived_rng(seed, t, attempt))
+    except (GraphError, GenerationError) as exc:
+        return exc
+    return g
+
+
+def assert_step_is(s, t, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=str(want)):
+            s.step(t)
+    else:
+        got = s.step(t)
+        assert got.edges.dtype == want.edges.dtype and got.edges.shape == want.edges.shape
+        assert got.edges.tobytes() == want.edges.tobytes()
+
+
+@st.composite
+def regular_schedules(draw):
+    """(n, d, seed, connected, T) for ``build_random_regular_schedule``."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d + 1, 24).filter(lambda n: n * d % 2 == 0))
+    connected = draw(st.booleans())
+    # a connected 1-regular graph needs n = 2: every other step exhausts its retries
+    T = draw(st.integers(1, 4 if connected and d == 1 and n > 2 else 20))
+    return n, d, draw(st.integers(0, 2**32 - 1)), connected, T
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_schedules(), st.sampled_from([None, 1, 3, 5]), st.data())
+def test_block_drawn_steps_match_per_step_oracle(case, cap, data):
+    # every step is its own derived_rng's graph, whatever the access order and
+    # however the cache evicts a block's steps before they are asked for
+    n, d, seed, connected, T = case
+    want = {t: oracle_step(n, d, seed, t, connected) for t in range(1, T + 1)}
+    orders = [range(1, T + 1), range(T, 0, -1),
+              data.draw(st.permutations(range(1, T + 1)))]
+    with mock.patch.object(schedule, "_GRAPH_CACHE_CAP", cap or schedule._GRAPH_CACHE_CAP):
+        for order in orders:
+            s = constructions.build_random_regular_schedule(n, d, seed=seed, connected=connected)
+            for t in order:
+                assert_step_is(s, t, want[t])
+                assert len(s._graphs) <= schedule._GRAPH_CACHE_CAP
+
+
+@SETTINGS
+@given(st.integers(2, 64), st.integers(1, 6), st.lists(st.integers(0, 2**32 - 1), max_size=10),
+       st.sampled_from([graphs.REGULAR_RETRY_CAP, 1, 3, 5, 37]))
+def test_random_regular_graphs_match_one_call_per_generator(n, d, seeds, cap):
+    assume(d < n and (n * d) % 2 == 0)
+    with mock.patch.object(graphs, "REGULAR_RETRY_CAP", cap):
+        one = [np.random.default_rng(seed) for seed in seeds]
+        want = []
+        for rng in one:
+            try:
+                want.append(graphs.random_regular_graph(n, d, rng))
+            except GenerationError as exc:
+                want.append(exc)
+        many = [np.random.default_rng(seed) for seed in seeds]
+        got = graphs.random_regular_graphs(n, d, many)
+    assert len(got) == len(want)
+    for g, w, r1, r2 in zip(got, want, one, many):
+        assert type(g) is type(w)
+        if isinstance(w, Exception):
+            assert str(g) == str(w)
+        else:
+            assert g.edges.dtype == w.edges.dtype and np.array_equal(g.edges, w.edges)
+            assert np.array_equal(g.adj_indices, w.adj_indices)
+        # each Generator is left where its own call leaves it
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+
+def test_a_failing_step_raises_only_when_asked_for():
+    # with one attempt a step, about half the 2-regular steps fail: a step
+    # whose own draw succeeds is served whatever its block neighbours do
+    n, d, seed, T = 10, 2, 3, 3 * constructions.REGULAR_BLOCK
+    with mock.patch.object(graphs, "REGULAR_RETRY_CAP", 1):
+        want = {t: oracle_step(n, d, seed, t, False) for t in range(1, T + 1)}
+        block = [want[t] for t in range(1, constructions.REGULAR_BLOCK + 1)]
+        assert any(isinstance(w, GenerationError) for w in block)
+        assert not all(isinstance(w, GenerationError) for w in block)
+        for order in (range(1, T + 1), range(T, 0, -1)):
+            s = constructions.build_random_regular_schedule(n, d, seed=seed)
+            for t in order:
+                assert_step_is(s, t, want[t])
+            # the failures were not cached, and fail again when asked for again
+            for t in order:
+                assert_step_is(s, t, want[t])
+        s = constructions.build_random_regular_schedule(n, d, seed=seed)
+        fails = [t for t in want if isinstance(want[t], GenerationError)]
+        for t in fails:
+            assert_step_is(s, t, want[t])
+        assert all(isinstance(s.step(t), graphs.StaticGraph) for t in want if t not in fails)
