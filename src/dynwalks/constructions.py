@@ -40,7 +40,10 @@ from .schedule import GraphSchedule
 # aligned block (B(i-1)+1 .. Bi) that the schedule does not hold.
 # ---------------------------------------------------------------------------
 
-# random regular steps are drawn REGULAR_BLOCK at a time
+# random regular steps are drawn REGULAR_BLOCK at a time, sharing each round's
+# numpy calls; over 200 steps at n = 32, d = 4, blocks of 16 and 40 were at
+# most about 10% faster a graph than 8, and a wider block draws more steps
+# that a short traversal (the midpoint verifier's 40) never asks for
 REGULAR_BLOCK = 8
 
 

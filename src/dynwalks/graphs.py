@@ -18,8 +18,8 @@ DEFAULT_EXPANDER_GAP = 0.05
 LARGE_N_EXPANDER_GAP = 0.02
 EXPANDER_GAP_CUTOFF_N = 32
 REGULAR_RETRY_CAP = 1000
-# pairing attempts are drawn in batches of 4, 8, 16, ... rows, capped at
-# REGULAR_BATCH_STUBS stubs a batch (and at least one row)
+# each Generator's pairing attempts are drawn in rounds of 4, 8, 16, ... rows,
+# capped at REGULAR_BATCH_STUBS stubs a round (and at least one row)
 REGULAR_BATCH_START = 4
 REGULAR_BATCH_STUBS = 4096
 

@@ -7,6 +7,7 @@ rejection, one pairing-model call per schedule step, and scipy's
 edge list. Every comparison is exact.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -166,7 +167,7 @@ def oracle_step(n, d, seed, t, connected):
 
 def assert_step_is(s, t, want):
     if isinstance(want, Exception):
-        with pytest.raises(type(want), match=str(want)):
+        with pytest.raises(type(want), match=re.escape(str(want))):
             s.step(t)
     else:
         got = s.step(t)
@@ -191,15 +192,28 @@ def test_block_drawn_steps_match_per_step_oracle(case, cap, data):
     # every step is its own derived_rng's graph, whatever the access order and
     # however the cache evicts a block's steps before they are asked for
     n, d, seed, connected, T = case
-    want = {t: oracle_step(n, d, seed, t, connected) for t in range(1, T + 1)}
+    want = {}
+
+    def oracle(t):
+        if t not in want:
+            want[t] = oracle_step(n, d, seed, t, connected)
+        return want[t]
+
+    B = constructions.REGULAR_BLOCK
     orders = [range(1, T + 1), range(T, 0, -1),
               data.draw(st.permutations(range(1, T + 1)))]
     with mock.patch.object(schedule, "_GRAPH_CACHE_CAP", cap or schedule._GRAPH_CACHE_CAP):
         for order in orders:
             s = constructions.build_random_regular_schedule(n, d, seed=seed, connected=connected)
-            for t in order:
-                assert_step_is(s, t, want[t])
+            for i, t in enumerate(order):
+                assert_step_is(s, t, oracle(t))
                 assert len(s._graphs) <= schedule._GRAPH_CACHE_CAP
+                if i == 0 and cap is None:
+                    # the first miss holds every drawable step of t's aligned block
+                    first = t - (t - 1) % B
+                    held = {u for u in range(first, first + B)
+                            if not isinstance(oracle(u), Exception)}
+                    assert {u for _, u in s._graphs} == held
 
 
 @SETTINGS
