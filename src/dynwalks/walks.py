@@ -401,7 +401,6 @@ def _lockstep(s: GraphSchedule, start: int, rngs: list, horizon: int, kind: str,
 @dataclass
 class DecayCheck:
     """One step of the variance-decay inequality, with its margin."""
-    t: int
     var_before: float
     var_after: float
     dirichlet: float
@@ -420,8 +419,8 @@ def variance_decay_checks(s: GraphSchedule, p0, steps: int, pi) -> list[DecayChe
         e = chain.dirichlet_form_edges(s.step(t + 1), rho, pi)
         var_next = chain.variance_pi(trace[t + 1] / pi, pi)
         margin = (var_prev - var_next) - e
-        out.append(DecayCheck(t=t, var_before=var_prev, var_after=var_next,
-                              dirichlet=e, margin=margin, ok=margin >= -DECAY_TOL))
+        out.append(DecayCheck(var_before=var_prev, var_after=var_next, dirichlet=e,
+                              margin=margin, ok=margin >= -DECAY_TOL))
         var_prev = var_next
     return out
 
@@ -429,7 +428,6 @@ def variance_decay_checks(s: GraphSchedule, p0, steps: int, pi) -> list[DecayChe
 @dataclass
 class DeviationCheck:
     """The strongest pointwise-deviation instance at one step, with its margin."""
-    t: int
     u: int
     deviation: float
     var_drop: float
@@ -454,7 +452,7 @@ def ratio_deviation_checks(s: GraphSchedule, p0, steps: int, pi) -> list[Deviati
         u = int(np.argmax(bounds))
         drop = var0 - chain.variance_pi(rho, pi)
         margin = drop - bounds[u]
-        out.append(DeviationCheck(t=t, u=u, deviation=float(dev[u]), var_drop=drop,
+        out.append(DeviationCheck(u=u, deviation=float(dev[u]), var_drop=drop,
                                   bound=float(bounds[u]), margin=margin,
                                   ok=margin >= -DECAY_TOL))
     return out
@@ -463,8 +461,6 @@ def ratio_deviation_checks(s: GraphSchedule, p0, steps: int, pi) -> list[Deviati
 @dataclass
 class WindowDecayCheck:
     """The variance drop over one window against the window's mean Dirichlet form."""
-    t1: int
-    w: int
     var_drop: float
     dirichlet_avg: float
     bound: float
@@ -493,18 +489,13 @@ def window_average_decay_check(s: GraphSchedule, t1: int, w: int, p0, pi) -> Win
                 for t in range(t1 + 1, t1 + w + 1)) / w
     bound = e_avg / (15.0 * w)
     margin = drop - bound
-    return WindowDecayCheck(t1=t1, w=w, var_drop=drop, dirichlet_avg=e_avg, bound=bound,
-                            gap=gap, var_start=var_start, margin=margin,
-                            ok=margin >= -DECAY_TOL)
+    return WindowDecayCheck(var_drop=drop, dirichlet_avg=e_avg, bound=bound, gap=gap,
+                            var_start=var_start, margin=margin, ok=margin >= -DECAY_TOL)
 
 
 @dataclass
 class MidpointCheck:
     """One check of |rho^[t1,t2]_{v,u} - 1| against its midpoint bound, with its margin."""
-    u: int
-    v: int
-    t1: int
-    t2: int
     lhs: float
     term_u: float
     term_v: float
@@ -557,6 +548,5 @@ def verify_midpoint_bound(s: GraphSchedule, u: int, v: int, t1: int, t2: int, pi
         alt_ok = True
 
     margin = rhs - lhs
-    return MidpointCheck(u=u, v=v, t1=t1, t2=t2, lhs=lhs, term_u=term_u, term_v=term_v,
-                         rhs=rhs, margin=margin, ok=margin >= -DECAY_TOL,
-                         alt_rhs=alt_rhs, alt_ok=alt_ok)
+    return MidpointCheck(lhs=lhs, term_u=term_u, term_v=term_v, rhs=rhs, margin=margin,
+                         ok=margin >= -DECAY_TOL, alt_rhs=alt_rhs, alt_ok=alt_ok)

@@ -1,11 +1,12 @@
 import functools
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from dynwalks import cli, constructions, graphs, reporting, schedule
+from dynwalks import cli, commute, constructions, graphs, reporting, schedule
 from dynwalks.errors import GenerationError, GraphError
 from dynwalks.reporting import BoundReport, csv_body, loglog_slope
 from dynwalks.suites import KNOBS, SUITES, ExperimentConfig, run_suite
@@ -187,6 +188,40 @@ def test_cli_commute_on_graph_file(tmp_path, write_graph_text, read_rows):
     extra = json.loads(rows[0]["extra"])
     assert extra["nw_lower_flow"] <= extra["exact"] <= extra["cutsum_flow"]
     assert extra["cutsum_2m"] == pytest.approx(extra["cutsum_flow"] / 2)
+
+
+# sha256 of each `commute` report's CSV body, taken with one BLAS thread
+# before the verb read its lower bound per source instead of per pair
+@pytest.mark.parametrize("argv, digest", [
+    (["--family", "gnp_connected", "--n", "10"],
+     "dcc3403767d80c3f8e97ad1493a4d3dbfc45dd44062379ff2599ecebdf32957b"),
+    (["--family", "circulant", "--n", "32", "--rho", "2"],
+     "5e339d2a273bdd4aa82562f79747fd8ce7c1ace5f0f3b31400a489e51078850c"),
+    (["--family", "cycle", "--n", "9", "--s", "2", "--t", "7"],
+     "edbbea2960eeeeeeca8532f6fe04c303f5b43ceece9cc63fae43bfca39496e8a"),
+], ids=["gnp_connected", "circulant", "cycle-pair"])
+def test_cli_commute_bodies_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "commute.csv"
+    assert cli.main(["commute", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(reporting.csv_body(out)).hexdigest() == digest
+
+
+def test_cli_commute_runs_one_bfs_per_source(tmp_path, monkeypatch):
+    bfs, separates = [], []
+    real = graphs._bfs
+
+    def counting(g, source, keep=None):
+        bfs.append((source, keep is None))
+        return real(g, source, keep)
+
+    monkeypatch.setattr(graphs, "_bfs", counting)
+    monkeypatch.setattr(commute, "_separates", lambda *args: separates.append(args))
+    assert cli.main(["commute", "--family", "cycle", "--n", "8",
+                     "--out", str(tmp_path / "commute.csv")]) == 0
+    assert separates == []
+    # the connectivity check from vertex 0, then one unmasked BFS per source;
+    # the table's pairs (s, t) with s < t have the sources 0..6
+    assert bfs == [(0, True)] + [(s, True) for s in range(7)]
 
 
 def test_cli_verify_and_suite(tmp_path):

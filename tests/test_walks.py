@@ -676,7 +676,7 @@ def oracle_midpoint_bound(s, u, v, t1, t2, pi):
     else:
         alt_rhs, alt_ok = float("nan"), True
     margin = rhs - lhs
-    return walks.MidpointCheck(u=u, v=v, t1=t1, t2=t2, lhs=lhs, term_u=term_u, term_v=term_v,
+    return walks.MidpointCheck(lhs=lhs, term_u=term_u, term_v=term_v,
                                rhs=rhs, margin=margin, ok=margin >= -walks.DECAY_TOL,
                                alt_rhs=alt_rhs, alt_ok=alt_ok)
 
